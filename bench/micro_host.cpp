@@ -51,6 +51,46 @@ void BM_FiberSwitch(benchmark::State &State) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+// A lane yields from a few frames down (kernel body -> Tx / ThreadCtx op ->
+// yieldOp -> Fiber::yieldToHost), and a warp round steps many lanes in
+// turn, each on its own 64 KiB device stack.  BM_FiberSwitch's one hot
+// fiber sees neither the cache sets those stacks' tops share nor the
+// return mispredictions of switching between call chains; this does.
+__attribute__((noinline)) void yieldFrame1() {
+  Fiber::yieldToHost();
+  benchmark::ClobberMemory(); // not a tail call: the frame stays
+}
+
+__attribute__((noinline)) void yieldFrame2() {
+  yieldFrame1();
+  benchmark::ClobberMemory();
+}
+
+__attribute__((noinline)) void yieldFrame3() {
+  yieldFrame2();
+  benchmark::ClobberMemory();
+}
+
+void yieldForeverDeep(void *) {
+  for (;;)
+    yieldFrame3();
+}
+
+void BM_FiberSwitchMany(benchmark::State &State) {
+  constexpr unsigned NumFibers = 1024;
+  StackPool Pool(DeviceConfig().StackBytes, StackLayout::Slab);
+  std::vector<Fiber> Fibers(NumFibers);
+  for (Fiber &F : Fibers)
+    F.init(Pool.acquire(), yieldForeverDeep, nullptr);
+  unsigned I = 0;
+  for (auto _ : State) {
+    Fibers[I].resume();
+    I = (I + 1) % NumFibers;
+  }
+  State.SetItemsProcessed(State.iterations() * 2); // switch in + out
+}
+BENCHMARK(BM_FiberSwitchMany);
+
 //===----------------------------------------------------------------------===//
 // Bloom filter
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,7 @@
 #include "support/Random.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -442,13 +443,11 @@ unsigned Device::resolveDeviceJobs() const {
 #if !defined(__x86_64__)
   // The ucontext fiber fallback exposes no saved stack pointer, so rounds
   // cannot be checkpointed; only the serial loop is available.
-  static bool WarnedBackend = false;
-  if (!WarnedBackend) {
-    WarnedBackend = true;
+  static std::atomic<bool> WarnedBackend{false};
+  if (!WarnedBackend.exchange(true))
     std::fprintf(stderr, "gpustm: warning: GPUSTM_DEVICE_JOBS ignored (no "
                          "checkpointable fiber backend on this target); "
                          "running serial\n");
-  }
   return 1;
 #else
   if (ActiveWmm != nullptr) {
@@ -465,13 +464,11 @@ unsigned Device::resolveDeviceJobs() const {
   if (Observed) {
     // Trace and sanitizer hooks observe rounds as they execute and assume
     // serial round order; speculation would show them misspeculated rounds.
-    static bool WarnedObserver = false;
-    if (!WarnedObserver) {
-      WarnedObserver = true;
+    static std::atomic<bool> WarnedObserver{false};
+    if (!WarnedObserver.exchange(true))
       std::fprintf(stderr, "gpustm: warning: serial-order observer attached "
                            "(GPUSTM_TRACE / GPUSTM_SAN); forcing "
                            "GPUSTM_DEVICE_JOBS=1\n");
-    }
     return 1;
   }
   return Jobs;
@@ -849,13 +846,11 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   if (ActiveWmm != nullptr &&
       (static_cast<bool>(TraceHook) || SerialObserver ||
        sanHooks() != nullptr)) {
-    static bool WarnedWmmConflict = false;
-    if (!WarnedWmmConflict) {
-      WarnedWmmConflict = true;
+    static std::atomic<bool> WarnedWmmConflict{false};
+    if (!WarnedWmmConflict.exchange(true))
       std::fprintf(stderr,
                    "gpustm: warning: weak-memory mode (GPUSTM_WMM) disabled "
                    "for launches with a trace/simtsan observer attached\n");
-    }
     ActiveWmm = nullptr;
   }
   if (GPUSTM_UNLIKELY(ActiveWmm != nullptr))

@@ -26,20 +26,30 @@ using namespace gpustm::simt;
 
 #if defined(__x86_64__)
 
-// System V AMD64 user-mode context switch.  Saves the callee-saved integer
-// registers and the return address on the current stack, publishes the stack
-// pointer through *SaveSP, then installs RestoreSP and returns into the
-// target context.  The FP control words are not modified by any simulated
-// code, so they are intentionally not saved.
-extern "C" void gpustm_fiber_switch(void **SaveSP, void *RestoreSP);
+// System V AMD64 user-mode context switch.  Pushes the callee-saved integer
+// registers below the caller's return address (the continuation), publishes
+// the stack pointer through *SaveSP, then installs RestoreSP, pops the
+// target's registers and continuation, and jumps to it.  The FP control
+// words are not modified by any simulated code, so they are intentionally
+// not saved.
+//
+// The switch leaves by `jmp`, not `ret`: a `ret` is predicted from the
+// return-stack buffer, whose top entry is the return into the caller on the
+// stack being left, so a switch by `ret` always mispredicts.  One macro
+// stamps out a symbol per direction, so each direction jumps from its own
+// site, whose target (the code after the other direction's call) hardly
+// ever changes.
+extern "C" void gpustm_fiber_resume(void **SaveSP, void *RestoreSP);
+extern "C" void gpustm_fiber_yield(void **SaveSP, void *RestoreSP);
 extern "C" void gpustm_fiber_boot();
 extern "C" void gpustm_fiber_trampoline(void *Self);
 
 asm(R"asm(
 .text
-.globl gpustm_fiber_switch
-.type gpustm_fiber_switch, @function
-gpustm_fiber_switch:
+.macro GPUSTM_FIBER_SWITCH name
+.globl \name
+.type \name, @function
+\name:
   pushq %rbp
   pushq %rbx
   pushq %r12
@@ -54,8 +64,13 @@ gpustm_fiber_switch:
   popq %r12
   popq %rbx
   popq %rbp
-  retq
-.size gpustm_fiber_switch, .-gpustm_fiber_switch
+  popq %rcx
+  jmpq *%rcx
+.size \name, .-\name
+.endm
+GPUSTM_FIBER_SWITCH gpustm_fiber_resume
+GPUSTM_FIBER_SWITCH gpustm_fiber_yield
+.purgem GPUSTM_FIBER_SWITCH
 
 .globl gpustm_fiber_boot
 .type gpustm_fiber_boot, @function
@@ -97,8 +112,8 @@ void Fiber::init(FiberStack S, EntryFn E, void *A) {
 
 #if defined(__x86_64__)
   // Build the initial switch frame: six callee-saved register slots followed
-  // by the boot return address.  The boot shim expects the Fiber pointer in
-  // r12 (the fourth popped slot).
+  // by the boot shim as the continuation.  The boot shim expects the Fiber
+  // pointer in r12 (the fourth popped slot).
   uintptr_t Top = reinterpret_cast<uintptr_t>(S.top()) & ~uintptr_t(15);
   uint64_t *Frame = reinterpret_cast<uint64_t *>(Top) - 7;
   Frame[0] = 0;                                    // r15
@@ -121,14 +136,14 @@ void Fiber::resume() {
   assert(CurrentFiberTLS == nullptr && "nested fiber resume");
   Started = true;
   CurrentFiberTLS = this;
-  gpustm_fiber_switch(&HostSP, FiberSP);
+  gpustm_fiber_resume(&HostSP, FiberSP);
   CurrentFiberTLS = nullptr;
 }
 
 void Fiber::yieldToHost() {
   Fiber *Self = CurrentFiberTLS;
   assert(Self && "yieldToHost outside a fiber");
-  gpustm_fiber_switch(&Self->FiberSP, Self->HostSP);
+  gpustm_fiber_yield(&Self->FiberSP, Self->HostSP);
 }
 
 #else // ucontext fallback for non-x86-64 hosts.
@@ -187,6 +202,15 @@ namespace {
 /// stacks resident; 256 stacks per slab keeps that under 200 VMAs per
 /// device, so a many-job sweep stays far below vm.max_map_count.
 constexpr size_t kSlabStacks = 256;
+
+/// Unused bytes between neighbouring slab stacks.  Device lane stacks are
+/// 64 KiB, so without a gap every lane's frame at a given depth maps to one
+/// L1 set and one of two L2 sets, and a warp round that steps many lanes
+/// evicts its own switch frames.  A 512-byte stagger moves each stack 8
+/// lines further around the cache index than its neighbour, so a slab's
+/// stack tops cover a 128 KiB index range (an L2 of 2048 sets) for 0.8%
+/// more mapping.  64 and 1088 bytes measured the same (EXPERIMENTS.md).
+constexpr size_t kSlabStagger = 512;
 } // namespace
 
 StackLayout StackPool::deviceLayout() {
@@ -210,9 +234,10 @@ StackPool::~StackPool() {
 }
 
 void StackPool::allocateSlab(size_t Page, size_t Usable) {
-  // Layout: [guard page][stack 0][stack 1]...[stack N-1], one RW mprotect
-  // over all the stacks, so the whole slab costs two VMAs.
-  size_t Total = Page + kSlabStacks * Usable;
+  // Layout: [guard page][stack 0][gap][stack 1][gap]...[stack N-1][gap],
+  // one RW mprotect over all the stacks, so the whole slab costs two VMAs.
+  size_t Stride = Usable + kSlabStagger;
+  size_t Total = Page + kSlabStacks * Stride;
   void *Base =
       ::mmap(nullptr, Total, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (Base == MAP_FAILED)
@@ -231,7 +256,7 @@ void StackPool::allocateSlab(size_t Page, size_t Usable) {
   // Push in reverse so acquire() hands out stacks in increasing address
   // order (cosmetic; the order is host-side only).
   for (size_t I = kSlabStacks; I-- > 0;) {
-    char *StackBase = static_cast<char *>(Base) + Page + I * Usable;
+    char *StackBase = static_cast<char *>(Base) + Page + I * Stride;
     FreeList.push_back(FiberStack(StackBase, Usable, Usable));
   }
   NumAllocated += kSlabStacks;

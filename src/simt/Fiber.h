@@ -10,7 +10,8 @@
 /// operation (load/store/atomic/fence/branch/barrier) and yields back.  This
 /// file provides the minimal fiber machinery: a fast user-mode context
 /// switch (hand-written x86-64 assembly, with a ucontext fallback for other
-/// targets) and pooled, guard-paged stacks.
+/// targets) and pooled stacks, either carved from shared slabs (the device
+/// default) or mapped one by one above a guard page each.
 ///
 /// Device code must keep lane-local state trivially destructible: when the
 /// livelock watchdog trips, suspended fibers are discarded without unwinding
@@ -31,7 +32,8 @@
 namespace gpustm {
 namespace simt {
 
-/// A reusable fiber stack: a guard page followed by usable memory.
+/// A reusable fiber stack: usable memory, preceded by a guard page in the
+/// Guarded layout.
 class FiberStack {
 public:
   FiberStack() = default;
@@ -65,9 +67,10 @@ enum class StackLayout {
   /// stack occupies its own TLB entry.
   Guarded,
   /// Stacks are carved from large shared mappings of kSlabStacks stacks
-  /// each (two VMAs per slab, MADV_HUGEPAGE applied).  Only the lowest
-  /// stack of a slab sits on the guard page; an interior overflow corrupts
-  /// the neighbouring lane's stack instead of faulting.
+  /// each (two VMAs per slab, MADV_HUGEPAGE applied), with a small unused
+  /// gap between neighbours so their tops fall in different cache sets.
+  /// Only the lowest stack of a slab sits on the guard page; an interior
+  /// overflow corrupts the neighbouring lane's stack instead of faulting.
   Slab,
 };
 

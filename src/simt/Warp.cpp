@@ -491,7 +491,7 @@ RoundCost Warp::executeRound() {
   // Step in increasing lane order (bit-identity), software-pipelining the
   // prefetches: Lane structs four steps out (pure address arithmetic) and
   // saved switch frames two steps out (the Lane line arrives two
-  // iterations before its FiberSP is read).  Lane stacks are 64KB-strided,
+  // iterations before its FiberSP is read).  Lane stacks are 64.5KB apart,
   // so the frame resume() pops is almost always cold, and two lanes'
   // execution (~300ns) is enough for even a DRAM miss to land.
   unsigned Idx[64];

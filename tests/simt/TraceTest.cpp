@@ -5,9 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "simt/Device.h"
+#include "wmm/MemModel.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <thread>
 #include <vector>
 
 using namespace gpustm;
@@ -98,6 +102,72 @@ TEST(TraceTest, TracingDoesNotPerturbTiming) {
     return R.ElapsedCycles;
   };
   EXPECT_EQ(Run(false), Run(true));
+}
+
+// The devices' one-shot observer warnings are process-wide.  Two threads
+// launching observed devices at once (a GPUSTM_JOBS sweep, stmserve
+// workers) both reach them; under TSan these tests check that doing so is
+// race-free, and everywhere that each warning still prints at most once.
+
+unsigned countOccurrences(const std::string &Text, const std::string &Needle) {
+  unsigned N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
+}
+
+/// Launches a small kernel on \p Threads devices at once, each configured
+/// by \p Setup, and returns the modeled cycles of each launch.
+template <typename SetupFn>
+std::vector<uint64_t> launchConcurrently(unsigned Threads, SetupFn Setup) {
+  std::vector<uint64_t> Cycles(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      DeviceConfig C = smallConfig();
+      C.DeviceJobs = 2;
+      Device Dev(C);
+      Addr Data = Dev.hostAlloc(64);
+      wmm::MemModel Model;
+      Setup(Dev, Model);
+      LaunchResult R = Dev.launch(LaunchConfig{2, 32}, [&](ThreadCtx &Ctx) {
+        Ctx.store(Data + Ctx.globalThreadId() % 64, 1);
+        Ctx.threadfence();
+        Ctx.compute(Ctx.load(Data + (Ctx.globalThreadId() + 1) % 64));
+      });
+      EXPECT_TRUE(R.Completed);
+      Cycles[T] = R.ElapsedCycles;
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  return Cycles;
+}
+
+TEST(TraceTest, ConcurrentObservedSpeculativeLaunchesWarnOnce) {
+  testing::internal::CaptureStderr();
+  std::vector<uint64_t> Cycles =
+      launchConcurrently(2, [](Device &Dev, wmm::MemModel &) {
+        Dev.setTraceHook([](const TraceEvent &) {});
+      });
+  std::string Err = testing::internal::GetCapturedStderr();
+  std::fputs(Err.c_str(), stderr); // keep sanitizer reports visible
+  EXPECT_EQ(Cycles[0], Cycles[1]);
+  EXPECT_LE(countOccurrences(Err, "serial-order observer attached"), 1u);
+}
+
+TEST(TraceTest, ConcurrentObservedWmmLaunchesWarnOnce) {
+  testing::internal::CaptureStderr();
+  std::vector<uint64_t> Cycles =
+      launchConcurrently(2, [](Device &Dev, wmm::MemModel &Model) {
+        Dev.setWmmModel(&Model);
+        Dev.setTraceHook([](const TraceEvent &) {});
+      });
+  std::string Err = testing::internal::GetCapturedStderr();
+  std::fputs(Err.c_str(), stderr); // keep sanitizer reports visible
+  EXPECT_EQ(Cycles[0], Cycles[1]);
+  EXPECT_LE(countOccurrences(Err, "weak-memory mode (GPUSTM_WMM) disabled"),
+            1u);
 }
 
 } // namespace
