@@ -1,14 +1,10 @@
-# Perf-regression gate over bench/simspeed's serial rows: fails when any
-# serial-loop cell's rounds_per_sec drops more than 10% below the checked-in
-# floor in simspeed_baseline.json.  Only serial rows are gated -- rows from
-# the device-jobs sweep (the ones carrying a "device_jobs" key) are host
-# speculation throughput and intentionally unguarded, since on a one-core
-# runner speculative execution is expected to trail the serial loop.
+# Perf-regression gate over bench/simspeed's rows: fails when any cell's
+# rounds_per_sec drops more than 10% below the checked-in floor in
+# simspeed_baseline.json.
 #
 # The baseline floors are ~1/3 of a quiet single-core run, so tripping this
-# gate means the serial hot path got multiple times slower (e.g. speculation
-# bookkeeping leaking into the GPUSTM_DEVICE_JOBS=1 path), not that the CI
-# machine had a noisy neighbour.
+# gate means the round-loop hot path got multiple times slower, not that the
+# CI machine had a noisy neighbour.
 #
 # Usage:
 #   cmake -DJSON=<path/to/BENCH_simspeed.json>
@@ -36,16 +32,12 @@ foreach(FI RANGE ${LAST_FLOOR})
   string(JSON VAR GET "${FLOORS}" rows ${FI} variant)
   string(JSON FLOOR GET "${FLOORS}" rows ${FI} min_rounds_per_sec)
 
-  # Find the matching serial row (no "device_jobs" key) in the measurement.
+  # Find the matching row in the measurement.
   set(FOUND 0)
   foreach(MI RANGE ${LAST_MEASURED})
     string(JSON MWL GET "${MEASURED}" rows ${MI} workload)
     string(JSON MVAR GET "${MEASURED}" rows ${MI} variant)
-    string(JSON DEVJOBS ERROR_VARIABLE NOTSERIAL
-           GET "${MEASURED}" rows ${MI} device_jobs)
-    if(MWL STREQUAL WL AND MVAR STREQUAL VAR AND NOT NOTSERIAL STREQUAL
-       "NOTFOUND")
-      # device_jobs lookup errored => the key is absent => a serial row.
+    if(MWL STREQUAL WL AND MVAR STREQUAL VAR)
       set(FOUND 1)
       string(JSON RPS GET "${MEASURED}" rows ${MI} rounds_per_sec)
       string(JSON OK GET "${MEASURED}" rows ${MI} ok)
@@ -57,7 +49,7 @@ foreach(FI RANGE ${LAST_FLOOR})
       math(EXPR GATE "${FLOOR} * 9 / 10")
       if(RPS LESS GATE)
         message(SEND_ERROR
-          "perf regression: ${WL}/${VAR} serial throughput "
+          "perf regression: ${WL}/${VAR} throughput "
           "${RPS} rounds/sec is below 90% of the baseline floor ${FLOOR} "
           "(gate ${GATE}); if the slowdown is intended, refresh "
           "bench/simspeed_baseline.json")
@@ -71,7 +63,7 @@ foreach(FI RANGE ${LAST_FLOOR})
   endforeach()
   if(NOT FOUND)
     message(SEND_ERROR
-      "baseline row ${WL}/${VAR} has no serial row in ${JSON}; did the "
+      "baseline row ${WL}/${VAR} has no row in ${JSON}; did the "
       "simspeed scenario table change without refreshing the baseline?")
     set(FAILED 1)
   endif()
@@ -80,4 +72,4 @@ endforeach()
 if(FAILED)
   message(FATAL_ERROR "simspeed perf-regression gate failed")
 endif()
-message(STATUS "simspeed serial throughput within 10% of baseline floors")
+message(STATUS "simspeed throughput within 10% of baseline floors")

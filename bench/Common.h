@@ -195,9 +195,9 @@ public:
 
   /// Write BENCH_<name>.json now (also called by the destructor).  The
   /// header carries the host throughput context: the machine's core count,
-  /// the GPUSTM_JOBS / GPUSTM_DEVICE_JOBS worker counts, and the bench's
-  /// total wall time (construction to write).  Comparisons for determinism
-  /// must exclude the wall_ms* fields and the jobs/device_jobs knobs.
+  /// the GPUSTM_JOBS worker count, and the bench's total wall time
+  /// (construction to write).  Comparisons for determinism must exclude the
+  /// wall_ms* fields and the jobs knob.
   void write() {
     Written = true;
     double WallMsTotal =
@@ -212,10 +212,10 @@ public:
     }
     std::fprintf(F,
                  "{\"bench\":\"%s\",\"scale\":%u,\"host_cores\":%u,"
-                 "\"jobs\":%u,\"device_jobs\":%u,\"wall_ms_total\":%.3f,",
+                 "\"jobs\":%u,\"wall_ms_total\":%.3f,",
                  Name.c_str(), benchScale(),
                  std::thread::hardware_concurrency(), hostJobs(),
-                 deviceJobs(), WallMsTotal);
+                 WallMsTotal);
     std::fprintf(F, "\"rows\":[\n");
     for (size_t I = 0; I < Rows.size(); ++I)
       std::fprintf(F, "%s%s\n", Rows[I].c_str(),
@@ -241,9 +241,7 @@ inline BenchJson::Row &wallFields(BenchJson::Row &Row,
                                   const workloads::HarnessResult &R) {
   return Row.num("wall_ms", R.wallMs())
       .num("rounds_per_sec", R.roundsPerSec())
-      .num("switches_per_round", R.switchesPerRound())
-      .num("replays", R.HostReplays)
-      .num("replay_rate", R.replayRate());
+      .num("switches_per_round", R.switchesPerRound());
 }
 
 } // namespace bench

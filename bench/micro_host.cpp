@@ -23,7 +23,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <vector>
 
 using namespace gpustm;
@@ -210,58 +209,6 @@ void BM_MaskedLaneSkip(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Rounds));
 }
 BENCHMARK(BM_MaskedLaneSkip);
-
-//===----------------------------------------------------------------------===//
-// Fiber checkpoint: the per-stepped-lane cost of speculative execution.
-// A speculative round snapshots each stepped lane's live stack slice
-// ([savedSP, stack top)) and copies it back on a replay; this measures
-// that round trip on a parked fiber (bytes are checkpoint + restore).
-//===----------------------------------------------------------------------===//
-
-void BM_FiberCheckpoint(benchmark::State &State) {
-  StackPool Pool(16 * 1024);
-  Fiber F;
-  F.init(Pool.acquire(), yieldForever, nullptr);
-  F.resume(); // Park inside the fiber so the saved slice is live.
-  auto *SP = static_cast<uint8_t *>(const_cast<void *>(F.savedSP()));
-  auto *Top = static_cast<uint8_t *>(F.stack().top());
-  std::vector<uint8_t> Image(static_cast<size_t>(Top - SP));
-  for (auto _ : State) {
-    std::memcpy(Image.data(), SP, Image.size()); // takeCheckpoint
-    std::memcpy(SP, Image.data(), Image.size()); // restoreRound
-    benchmark::DoNotOptimize(Image.data());
-  }
-  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) * 2 *
-                          static_cast<int64_t>(Image.size()));
-}
-BENCHMARK(BM_FiberCheckpoint);
-
-//===----------------------------------------------------------------------===//
-// Round commit: end-to-end warp-round throughput of the serial loop (spec=0)
-// against the speculative engine at 2 device jobs (spec=1), on an
-// atomic-heavy kernel where every round carries a read/write set through
-// the capture -> validate -> commit pipeline (items are warp rounds).
-//===----------------------------------------------------------------------===//
-
-void BM_RoundCommit(benchmark::State &State) {
-  DeviceConfig DC;
-  DC.MemoryWords = 1u << 20;
-  DC.NumSMs = 2;
-  DC.DeviceJobs = State.range(0) != 0 ? 2 : 1;
-  Device Dev(DC);
-  Addr A = Dev.hostAlloc(1u << 10);
-  uint64_t Rounds = 0;
-  for (auto _ : State) {
-    LaunchConfig L{4, 64};
-    LaunchResult R = Dev.launch(L, [&](ThreadCtx &Ctx) {
-      for (int I = 0; I < 32; ++I)
-        Ctx.atomicAdd(A + ((Ctx.globalThreadId() * 67 + I) & 1023), 1);
-    });
-    Rounds += R.TotalRounds;
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(Rounds));
-}
-BENCHMARK(BM_RoundCommit)->ArgsProduct({{0, 1}})->ArgNames({"spec"});
 
 //===----------------------------------------------------------------------===//
 // Watchpoint wake: two single-thread blocks ping-pong through memWait

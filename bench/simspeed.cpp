@@ -77,48 +77,8 @@ int main() {
     wallFields(Row, R);
   }
 
-  // Device-jobs sweep: the same fig2/fig3-class cell executed serially and
-  // with speculative parallel warp rounds inside one simulated device.
-  // Modeled numbers must be bit-identical at every level; wall_ms,
-  // rounds/sec and the replay rate are the host-throughput story.  Run
-  // sequentially (never under runSweep) so each level owns the machine.
-  std::printf("\nDevice-jobs sweep (GPUSTM_DEVICE_JOBS inside one device, "
-              "RA x Optimized):\n");
-  std::printf("%-6s %12s %12s %10s %10s %10s %9s\n", "jobs", "cycles",
-              "rounds/sec", "wall-ms", "replays", "repl-rate", "speedup");
-  double SerialWallMs = 0.0;
-  for (unsigned Jobs : {1u, 2u, 4u}) {
-    HarnessConfig HC;
-    HC.Kind = stm::Variant::Optimized;
-    HC.Launches = launchFor("RA", Scale);
-    HC.NumLocks = NumLocks;
-    HC.DeviceCfg.DeviceJobs = Jobs;
-    auto W = makeWorkload("RA", Scale);
-    HarnessResult R = runWorkload(*W, HC);
-    if (Jobs == 1)
-      SerialWallMs = R.wallMs();
-    double Speedup = R.wallMs() > 0.0 ? SerialWallMs / R.wallMs() : 0.0;
-    std::printf("%-6u %12llu %12.0f %10.1f %10llu %10.4f %8.2fx\n", Jobs,
-                static_cast<unsigned long long>(R.TotalCycles),
-                R.roundsPerSec(), R.wallMs(),
-                static_cast<unsigned long long>(R.HostReplays),
-                R.replayRate(), Speedup);
-    auto Row = Json.row();
-    Row.str("workload", "RA")
-        .str("variant", stm::variantName(stm::Variant::Optimized))
-        .str("regime", "device-jobs sweep")
-        .num("device_jobs", static_cast<uint64_t>(Jobs))
-        .num("cycles", R.TotalCycles)
-        .num("commits", R.Stm.Commits)
-        .num("aborts", R.Stm.Aborts)
-        .num("rounds", R.Sim.get("simt.rounds"))
-        .flag("ok", R.Completed && R.Verified);
-    wallFields(Row, R);
-  }
-
-  std::printf("\nrounds/sec, wall-ms, replays and speedup are host "
-              "throughput (vary run to run); cycles/commits/aborts/rounds "
-              "are modeled and must be bit-identical across host "
-              "optimizations and GPUSTM_DEVICE_JOBS levels.\n");
+  std::printf("\nrounds/sec and wall-ms are host throughput (vary run to "
+              "run); cycles/commits/aborts/rounds are modeled and must be "
+              "bit-identical across host optimizations.\n");
   return 0;
 }

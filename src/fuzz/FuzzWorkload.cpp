@@ -114,8 +114,8 @@ void FuzzWorkload::runTask(stm::StmRuntime &Stm, ThreadCtx &Ctx, unsigned K,
     });
     if (!FT.ReadOnly) {
       Acc = CommitAcc;
-      // Journal the serialization order the runtime assigned this commit;
-      // a plain native store, so it is replay-safe under speculation.
+      // Journal the serialization order the runtime assigned this commit
+      // (a plain native store).
       Ctx.store(JournalBase + Task * P.MaxTxPerTask + TxI,
                 Stm.lastCommitVersion(Ctx.globalThreadId()));
     }

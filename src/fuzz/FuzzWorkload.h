@@ -50,7 +50,7 @@ public:
 
   /// FNV-1a digest of the final memory images (shared + private + journal)
   /// of the last verified run; runs that must be bit-identical (same seed
-  /// re-run, traced vs untraced, serial vs speculative) compare these.
+  /// re-run, traced vs untraced, one process vs another) compare these.
   uint64_t lastDigest() const { return LastDigest; }
 
 private:

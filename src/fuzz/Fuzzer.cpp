@@ -90,7 +90,6 @@ HarnessConfig makeConfig(const FuzzProgram &P, stm::Variant Kind,
   HC.DeviceCfg.NumSMs = P.NumSMs;
   HC.DeviceCfg.SchedFuzzSeed = P.SchedFuzzSeed;
   HC.DeviceCfg.WatchdogRounds = O.WatchdogRounds;
-  HC.DeviceCfg.DeviceJobs = O.DeviceJobs;
   return HC;
 }
 
@@ -186,23 +185,6 @@ VariantOutcome runVariant(const FuzzProgram &P, stm::Variant Kind,
     }
   }
 
-  if (O.CheckJobsInvariance) {
-    HarnessConfig Serial = HC, Spec = HC;
-    Serial.DeviceCfg.DeviceJobs = 1;
-    Spec.DeviceCfg.DeviceJobs = 4;
-    uint64_t DSerial = 0, DSpec = 0;
-    if (!runOnce(W, Serial, Out, &DSerial) || !runOnce(W, Spec, Out, &DSpec))
-      return Out;
-    if (DSerial != DSpec) {
-      Out.Check = "jobs-invariance";
-      Out.Detail = formatString(
-          "jobs=1 digest %016llx != jobs=4 digest %016llx",
-          static_cast<unsigned long long>(DSerial),
-          static_cast<unsigned long long>(DSpec));
-      return Out;
-    }
-  }
-
   if (O.TraceSamplePeriod != 0 && P.Seed % O.TraceSamplePeriod == 0) {
     trace::TxTraceRecorder Rec;
     HarnessConfig Traced = HC;
@@ -213,7 +195,7 @@ VariantOutcome runVariant(const FuzzProgram &P, stm::Variant Kind,
     if (DTraced != Out.Digest) {
       Out.Check = "trace-identity";
       Out.Detail = formatString(
-          "traced (serial) run digest %016llx != untraced %016llx",
+          "traced run digest %016llx != untraced %016llx",
           static_cast<unsigned long long>(DTraced),
           static_cast<unsigned long long>(Out.Digest));
       return Out;

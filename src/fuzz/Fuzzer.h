@@ -33,19 +33,13 @@ struct FuzzOptions {
   /// Variants under test; empty means all seven.
   std::vector<stm::Variant> Variants;
   /// Trace-check seeds whose Seed %% TraceSamplePeriod == 0 (0 = never).
-  /// The traced run (which the recorder forces serial) must also be
-  /// bit-identical to the untraced run.
+  /// The traced run must also be bit-identical to the untraced run.
   unsigned TraceSamplePeriod = 8;
   /// Simulator watchdog: a clean program finishes orders of magnitude
   /// below this; tripping it means livelock (or a leaked lock's spin).
   uint64_t WatchdogRounds = 1ull << 22;
-  /// Host threads per launch (0 = GPUSTM_DEVICE_JOBS, 1 = serial).
-  unsigned DeviceJobs = 0;
   /// Re-run each variant identically and demand a bit-identical digest.
   bool CheckDeterminism = false;
-  /// Also run serial (jobs=1) and speculative (jobs=4) and demand
-  /// bit-identical digests.
-  bool CheckJobsInvariance = false;
   /// Protocol mutations injected into every run (mutation tests only).
   stm::StmFaults Faults;
   /// Lock-sorting ablation (mutation tests only; expect a watchdog trip).
@@ -54,8 +48,8 @@ struct FuzzOptions {
   /// memory model instead of sequential consistency.  The sequential
   /// oracle stays valid (pre-ops touch only task-private words and every
   /// buffer drains before verification), so fence-elision faults become
-  /// observable failures.  Implies no trace and no jobs-invariance checks
-  /// (those force observers/serial execution that exclude the model).
+  /// observable failures.  Implies no trace check (a trace observer
+  /// excludes the model).
   bool Wmm = false;
   uint64_t WmmSeed = 1;
   unsigned WmmBuffer = 8;
@@ -66,7 +60,7 @@ struct VariantOutcome {
   stm::Variant Kind = stm::Variant::HVSorting;
   bool Passed = false;
   /// Which check failed: "completion", "oracle", "determinism",
-  /// "jobs-invariance", "trace-identity", "trace".  Empty when passed.
+  /// "trace-identity", "trace".  Empty when passed.
   std::string Check;
   std::string Detail;
   /// Digest of final images + counters + modeled cycles.
@@ -84,7 +78,7 @@ struct SeedResult {
   std::vector<VariantOutcome> Outcomes;
 
   /// Digest folding every variant's digest (for cross-process diffing,
-  /// e.g. GPUSTM_DEVICE_JOBS=1 vs =4 in CI).
+  /// e.g. `stmfuzz run --jobs 1` vs `--jobs 4` in CI).
   uint64_t combinedDigest() const;
   /// One line per failing variant; empty string when passed.
   std::string failureSummary() const;

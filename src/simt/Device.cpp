@@ -7,28 +7,17 @@
 #include "simt/Device.h"
 #include "support/EnvOptions.h"
 #include "support/Error.h"
-#include "support/Format.h"
 #include "support/MathExtras.h"
-#include "support/Parallel.h"
 #include "support/Random.h"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
 
 using namespace gpustm;
 using namespace gpustm::simt;
-
-namespace gpustm {
-namespace simt {
-/// The round the calling thread is executing speculatively (or replaying);
-/// null on the coordinator outside replays and everywhere in serial mode.
-thread_local RoundSpec *ActiveSpecTLS = nullptr;
-} // namespace simt
-} // namespace gpustm
 
 Device::Device(const DeviceConfig &Config)
     : Config(Config), Mem(Config.MemoryWords),
@@ -44,8 +33,7 @@ Device::Device(const DeviceConfig &Config)
 /// Stateless mix of the schedule-fuzz seed with deterministic scheduler
 /// state.  Every input is part of the simulated machine state (never host
 /// timing or execution-order bookkeeping), so a fuzzed schedule is a pure
-/// function of the seed and stays bit-identical under GPUSTM_DEVICE_JOBS
-/// speculation, which reproduces exactly this state at commit points.
+/// function of the seed.
 static uint64_t schedMix(uint64_t Seed, uint64_t A, uint64_t B) {
   uint64_t S = Seed ^ (A * 0x9e3779b97f4a7c15ULL) ^
                (B * 0xbf58476d1ce4e5b9ULL);
@@ -370,11 +358,6 @@ void Device::noteBarrierArrival(BlockState &Block) {
     San->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/false,
                           CurrentIssueCycle);
 #endif
-  // A speculative round is about to mutate sibling warps' scheduling state;
-  // snapshot them first so a discarded round restores the whole block.
-  if (RoundSpec *S = ActiveSpecTLS; GPUSTM_UNLIKELY(S != nullptr))
-    if (!S->IsReplay)
-      snapshotSiblings(*S, Block);
   for (auto &W : Block.Warps)
     W->releaseBlockBarrier();
   // Barrier release: every participant drained on arrival, so moving every
@@ -400,9 +383,6 @@ void Device::noteLaneFinished(BlockState &Block) {
       San->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/true,
                             CurrentIssueCycle);
 #endif
-    if (RoundSpec *S = ActiveSpecTLS; GPUSTM_UNLIKELY(S != nullptr))
-      if (!S->IsReplay)
-        snapshotSiblings(*S, Block);
     for (auto &W : Block.Warps)
       W->releaseBlockBarrier();
     if (GPUSTM_UNLIKELY(ActiveWmm != nullptr))
@@ -434,383 +414,6 @@ void Device::discardInFlight() {
   LiveBlocks = 0;
 }
 
-unsigned Device::resolveDeviceJobs() const {
-  unsigned Jobs = Config.DeviceJobs != 0 ? Config.DeviceJobs : deviceJobs();
-  if (Jobs > 256)
-    Jobs = 256;
-  if (Jobs <= 1)
-    return 1;
-#if !defined(__x86_64__)
-  // The ucontext fiber fallback exposes no saved stack pointer, so rounds
-  // cannot be checkpointed; only the serial loop is available.
-  static std::atomic<bool> WarnedBackend{false};
-  if (!WarnedBackend.exchange(true))
-    std::fprintf(stderr, "gpustm: warning: GPUSTM_DEVICE_JOBS ignored (no "
-                         "checkpointable fiber backend on this target); "
-                         "running serial\n");
-  return 1;
-#else
-  if (ActiveWmm != nullptr) {
-    // The weak-memory model changes values (that is its purpose), and its
-    // oracle is keyed on serial operation order; speculation would replay
-    // reordered rounds inconsistently.  Always serial, silently: WMM is an
-    // explicit opt-in whose docs state it forces the serial loop.
-    return 1;
-  }
-  bool Observed = SerialObserver || static_cast<bool>(TraceHook);
-#if GPUSTM_SAN_ENABLED
-  Observed = Observed || San != nullptr;
-#endif
-  if (Observed) {
-    // Trace and sanitizer hooks observe rounds as they execute and assume
-    // serial round order; speculation would show them misspeculated rounds.
-    static std::atomic<bool> WarnedObserver{false};
-    if (!WarnedObserver.exchange(true))
-      std::fprintf(stderr, "gpustm: warning: serial-order observer attached "
-                           "(GPUSTM_TRACE / GPUSTM_SAN); forcing "
-                           "GPUSTM_DEVICE_JOBS=1\n");
-    return 1;
-  }
-  return Jobs;
-#endif
-}
-
-void Device::takeCheckpoint(RoundSpec &S) {
-  Warp &W = *S.W;
-  S.SteppedMask = W.stateMask(LaneState::Runnable);
-  S.SavedLanes.assign(W.Lanes.begin(), W.Lanes.end());
-  S.SavedStack = W.Stack;
-  std::copy(std::begin(W.StateMask), std::end(W.StateMask),
-            std::begin(S.SavedStateMask));
-  S.SavedConvergencePending = W.ConvergencePending;
-  S.SavedReadyAt = W.ReadyAt;
-  BlockState &B = *W.Block;
-  S.SavedLiveLanes = B.LiveLanes;
-  S.SavedBarrierArrived = B.BarrierArrived;
-  S.SavedRetirePending = Sms[S.SmIdx].RetirePending;
-
-  // Only the lanes about to be stepped can change their fiber stack or
-  // their host-side client state (the STM descriptor).
-  for (uint64_t Mask = S.SteppedMask; Mask != 0; Mask &= Mask - 1) {
-    unsigned I = static_cast<unsigned>(std::countr_zero(Mask));
-    Lane &L = W.Lanes[I];
-    char *SP = static_cast<char *>(const_cast<void *>(L.Fib.savedSP()));
-    char *Top = static_cast<char *>(L.Fib.stack().top());
-    size_t Bytes = static_cast<size_t>(Top - SP);
-    size_t Off = S.StackImage.size();
-    S.StackImage.resize(Off + Bytes);
-    std::memcpy(S.StackImage.data() + Off, SP, Bytes);
-    S.StackSlices.push_back({I, Off, Bytes, SP});
-    if (LaneHook.StateBytes != 0) {
-      void *P = LaneHook.Locate(L.Ctx.globalThreadId());
-      size_t COff = S.ClientImage.size();
-      S.ClientImage.resize(COff + LaneHook.StateBytes);
-      std::memcpy(S.ClientImage.data() + COff, P, LaneHook.StateBytes);
-      S.ClientDsts.push_back(P);
-    }
-  }
-}
-
-void Device::restoreRound(RoundSpec &S) {
-  Warp &W = *S.W;
-  // Lane values first (this reinstates the fiber handles, including stacks
-  // the round pushed to StackReleases), then the live stack bytes those
-  // handles point at, then the host-side client records.  Element-wise
-  // copies into the existing storage: fiber Arg pointers and Ctx.Self alias
-  // the Lane addresses, so the vectors themselves must never reallocate.
-  std::copy(S.SavedLanes.begin(), S.SavedLanes.end(), W.Lanes.begin());
-  for (const RoundSpec::StackSlice &Sl : S.StackSlices)
-    std::memcpy(Sl.Dst, S.StackImage.data() + Sl.Offset, Sl.Bytes);
-  for (size_t K = 0; K < S.ClientDsts.size(); ++K)
-    std::memcpy(S.ClientDsts[K], S.ClientImage.data() + K * LaneHook.StateBytes,
-                LaneHook.StateBytes);
-  W.Stack = S.SavedStack;
-  std::copy(std::begin(S.SavedStateMask), std::end(S.SavedStateMask),
-            std::begin(W.StateMask));
-  W.ConvergencePending = S.SavedConvergencePending;
-  W.ReadyAt = S.SavedReadyAt;
-  BlockState &B = *W.Block;
-  B.LiveLanes = S.SavedLiveLanes;
-  B.BarrierArrived = S.SavedBarrierArrived;
-  Sms[S.SmIdx].RetirePending = S.SavedRetirePending;
-  for (const RoundSpec::SiblingSnap &Sn : S.Siblings) {
-    Warp &SW = *Sn.W;
-    std::copy(Sn.Lanes.begin(), Sn.Lanes.end(), SW.Lanes.begin());
-    SW.Stack = Sn.Stack;
-    std::copy(std::begin(Sn.StateMask), std::end(Sn.StateMask),
-              std::begin(SW.StateMask));
-    SW.ConvergencePending = Sn.ConvergencePending;
-    SW.ReadyAt = Sn.ReadyAt;
-  }
-}
-
-void Device::snapshotSiblings(RoundSpec &S, BlockState &Block) {
-  for (auto &WPtr : Block.Warps) {
-    Warp *W = WPtr.get();
-    if (W == S.W)
-      continue;
-    bool Seen = false;
-    for (const RoundSpec::SiblingSnap &Sn : S.Siblings)
-      if (Sn.W == W) {
-        Seen = true;
-        break;
-      }
-    if (Seen)
-      continue;
-    RoundSpec::SiblingSnap Sn;
-    Sn.W = W;
-    Sn.Lanes.assign(W->Lanes.begin(), W->Lanes.end());
-    Sn.Stack = W->Stack;
-    std::copy(std::begin(W->StateMask), std::end(W->StateMask),
-              std::begin(Sn.StateMask));
-    Sn.ConvergencePending = W->ConvergencePending;
-    Sn.ReadyAt = W->ReadyAt;
-    S.Siblings.push_back(std::move(Sn));
-  }
-}
-
-void Device::specWorkerLoop() {
-  for (;;) {
-    if (SpecQuit.load(std::memory_order_acquire))
-      return;
-    bool Ran = false;
-    for (auto &SlotPtr : SpecSlots) {
-      SpecSlot &Slot = *SlotPtr;
-      if (Slot.State.load(std::memory_order_relaxed) != SpecSlot::Queued)
-        continue;
-      uint32_t Expected = SpecSlot::Queued;
-      if (!Slot.State.compare_exchange_strong(Expected, SpecSlot::Running,
-                                              std::memory_order_acq_rel))
-        continue;
-      RoundSpec &S = Slot.Spec;
-      takeCheckpoint(S);
-      ActiveSpecTLS = &S;
-      S.Cost = S.W->executeRound();
-      ActiveSpecTLS = nullptr;
-      Slot.State.store(SpecSlot::Done, std::memory_order_release);
-      Ran = true;
-    }
-    // Essential on oversubscribed hosts: let the coordinator (or another
-    // worker) run instead of burning the timeslice on an empty rescan.
-    if (!Ran)
-      std::this_thread::yield();
-  }
-}
-
-void Device::queueSpecs() {
-  for (unsigned I = 0; I < SpecSlots.size(); ++I) {
-    SmState &Sm = Sms[I];
-    if (!Sm.CandWarp)
-      continue;
-    SpecSlot &Slot = *SpecSlots[I];
-    if (Slot.State.load(std::memory_order_relaxed) != SpecSlot::Idle)
-      continue;
-    // Invariant: every event that can change an SM's candidate reclaims its
-    // in-flight spec first, so a non-Idle slot always matches the current
-    // candidate and never needs re-queueing.
-    Slot.Spec.reset(Sm.CandWarp, Sm.CandIssue, Sm.CandIdx, I,
-                    /*Replay=*/false);
-    Slot.State.store(SpecSlot::Queued, std::memory_order_release);
-  }
-}
-
-void Device::reclaimSpec(unsigned SmIdx) {
-  SpecSlot &Slot = *SpecSlots[SmIdx];
-  uint32_t Expected = SpecSlot::Queued;
-  if (Slot.State.compare_exchange_strong(Expected, SpecSlot::Idle,
-                                         std::memory_order_acq_rel))
-    return; // Never picked up: nothing executed, nothing to undo.
-  if (Expected == SpecSlot::Idle)
-    return;
-  // Running or Done: doom it, wait for the worker to hand the round back,
-  // and undo everything it did from the checkpoint.
-  RoundSpec &S = Slot.Spec;
-  S.Doomed.store(true, std::memory_order_relaxed);
-  while (Slot.State.load(std::memory_order_acquire) != SpecSlot::Done)
-    std::this_thread::yield();
-  restoreRound(S);
-  ++Replays;
-  Slot.State.store(SpecSlot::Idle, std::memory_order_relaxed);
-}
-
-void Device::drainAllSpecs() {
-  for (unsigned I = 0; I < SpecSlots.size(); ++I)
-    reclaimSpec(I);
-}
-
-void Device::drainSpecsForSerialPoint() {
-  for (unsigned I = 0; I < SpecSlots.size(); ++I) {
-    if (&SpecSlots[I]->Spec == ActiveSpecTLS)
-      continue; // The calling replay's own slot.
-    reclaimSpec(I);
-  }
-}
-
-bool Device::commitApply(SmState &Sm, RoundSpec &S) {
-  Warp *W = S.W;
-
-  // Any SM with a lane parked on a word this round writes may see its
-  // candidate change when the wake lands; its in-flight speculation is then
-  // stale under the serial order.  Reclaim those SMs before mutating
-  // memory (conservative: reclaim whether or not the wake condition holds).
-  if (!Watchpoints.empty() && !S.Writes.empty()) {
-    for (const RoundSpec::AccessEntry &E : S.Writes) {
-      auto It = Watchpoints.find(E.A);
-      if (It == Watchpoints.end())
-        continue;
-      for (const WatchEntry &WE : It->second) {
-        unsigned Home = WE.W->block().HomeSM;
-        if (Home != S.SmIdx)
-          reclaimSpec(Home);
-      }
-    }
-  }
-
-  // Apply the write buffer in program order with the serial per-store
-  // semantics (store, then wake watchers).  The bounds check is defense in
-  // depth: every buffered store already passed the op-time check, which
-  // dooms the spec (worker) or aborts with full coordinates (replay).
-  for (const RoundSpec::AccessEntry &E : S.Writes) {
-    if (GPUSTM_UNLIKELY(static_cast<size_t>(E.A) >= Mem.size()))
-      reportFatalError(formatString(
-          "out-of-bounds global store of word %u (arena holds %zu words) in "
-          "speculative commit on SM %u at cycle %llu",
-          E.A, Mem.size(), S.SmIdx,
-          static_cast<unsigned long long>(S.Issue)));
-    Mem.store(E.A, E.V);
-    notifyWrite(E.A);
-  }
-
-  // Redo the serial end-of-round ConvergencePending recompute now that the
-  // commit-time wakes have landed: a serial round saw a same-round wake of
-  // one of its own parked lanes before recomputing.
-  if (W->ConvergencePending)
-    W->ConvergencePending = (W->stateMask(LaneState::Runnable) |
-                             W->stateMask(LaneState::Finished)) != W->AllLanes;
-
-  // Register the parks that no same-round store satisfied.
-  for (const RoundSpec::PendingPark &P : S.Parks)
-    if (!P.Canceled)
-      addWatch(P.A, {W, P.LaneIdx, P.Aux, P.Wait});
-
-  // Finished lanes' stacks are safe to recycle now.
-  for (FiberStack &St : S.StackReleases)
-    Stacks.release(St);
-  S.StackReleases.clear();
-
-  Counters.Rounds += S.Counters.Rounds;
-  Counters.LaneSteps += S.Counters.LaneSteps;
-  Counters.MemTransactions += S.Counters.MemTransactions;
-  Counters.Loads += S.Counters.Loads;
-  Counters.Stores += S.Counters.Stores;
-  Counters.Atomics += S.Counters.Atomics;
-  Counters.Fences += S.Counters.Fences;
-
-  // The serial loop's post-round scheduler bookkeeping, verbatim.
-  Sm.Clock = S.Issue + S.Cost.SmOccupancy;
-  W->ReadyAt = S.Issue + S.Cost.WarpLatency;
-  Sm.RoundRobin = static_cast<unsigned>((S.IssuedIdx + 1) % Sm.WarpList.size());
-
-  ++RoundsExecuted;
-  if (RoundsExecuted > Config.WatchdogRounds) {
-    drainAllSpecs();
-    discardInFlight();
-    return false;
-  }
-
-  if (GPUSTM_UNLIKELY(Sm.RetirePending)) {
-    // Retirement can hand fresh blocks to other SMs (their candidates
-    // change); no speculation may be in flight across it.
-    drainAllSpecs();
-    Sm.RetirePending = false;
-    if (retireFinishedBlocks(Sm) && NextPendingBlock < CurrentLaunch.GridDim)
-      activatePendingBlocks();
-  }
-  recomputeCandidate(Sm);
-  return true;
-}
-
-void Device::runParallelLoop(LaunchResult &Result, unsigned Jobs) {
-  SpecSlots.clear();
-  SpecSlots.reserve(Config.NumSMs);
-  for (unsigned I = 0; I < Config.NumSMs; ++I)
-    SpecSlots.push_back(std::make_unique<SpecSlot>());
-  SpecQuit.store(false, std::memory_order_relaxed);
-  SpecWorkers.reserve(Jobs - 1);
-  for (unsigned T = 1; T < Jobs; ++T)
-    SpecWorkers.emplace_back([this] { specWorkerLoop(); });
-
-  for (;;) {
-    queueSpecs();
-
-    SmState *BestSm = pickIssueSm();
-    if (!BestSm) {
-      drainAllSpecs(); // No candidates implies no specs; defensive.
-      if (LiveBlocks == 0 && NextPendingBlock == CurrentLaunch.GridDim) {
-        Result.Completed = true;
-        break;
-      }
-      Result.Deadlocked = true;
-      discardInFlight();
-      break;
-    }
-
-    SmState &Sm = *BestSm;
-    unsigned SmIdx = static_cast<unsigned>(BestSm - Sms.data());
-    Warp *W = Sm.CandWarp;
-    uint64_t Issue = Sm.CandIssue;
-    unsigned IssuedIdx = Sm.CandIdx;
-    CurrentIssueCycle = Issue;
-
-    SpecSlot &Slot = *SpecSlots[SmIdx];
-    RoundSpec &S = Slot.Spec;
-    bool NeedRun = false;
-    uint32_t Expected = SpecSlot::Queued;
-    if (Slot.State.compare_exchange_strong(Expected, SpecSlot::Running,
-                                           std::memory_order_acq_rel)) {
-      // No worker picked the head round up yet: run it here,
-      // authoritatively (not a replay for counting purposes).
-      NeedRun = true;
-    } else {
-      while (Slot.State.load(std::memory_order_acquire) != SpecSlot::Done)
-        std::this_thread::yield();
-      if (!S.Doomed.load(std::memory_order_relaxed) && S.W == W &&
-          S.Issue == Issue && S.IssuedIdx == IssuedIdx &&
-          S.validateReads(Mem)) {
-        // Speculation holds: every value the round read is what it would
-        // read at this commit point, so its eager warp mutations and its
-        // write buffer are exactly the serial round's.
-      } else {
-        restoreRound(S);
-        ++Replays;
-        NeedRun = true;
-      }
-    }
-    if (NeedRun) {
-      // Authoritative in-place execution at the commit point.  Still
-      // buffered -- workers are concurrently reading the arena -- but never
-      // doomed, never checkpointed, and reads are not logged.
-      S.reset(W, Issue, IssuedIdx, SmIdx, /*Replay=*/true);
-      ActiveSpecTLS = &S;
-      S.Cost = W->executeRound();
-      ActiveSpecTLS = nullptr;
-    }
-    // The slot is consumed before commitApply so drainAllSpecs (retirement,
-    // watchdog) cannot mistake the committing round for an in-flight spec.
-    Slot.State.store(SpecSlot::Idle, std::memory_order_relaxed);
-    if (!commitApply(Sm, S)) {
-      Result.WatchdogTripped = true;
-      break;
-    }
-  }
-
-  SpecQuit.store(true, std::memory_order_release);
-  for (std::thread &T : SpecWorkers)
-    T.join();
-  SpecWorkers.clear();
-  SpecSlots.clear();
-}
-
 LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   if (Launch.GridDim == 0 || Launch.BlockDim == 0)
     reportFatalError("empty launch configuration");
@@ -824,7 +427,6 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   NextPendingBlock = 0;
   LiveBlocks = 0;
   RoundsExecuted = 0;
-  Replays = 0;
   Watchpoints.clear();
   CurrentIssueCycle = 0;
   Counters = SimCounters();
@@ -840,12 +442,12 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   activatePendingBlocks();
 
   // Weak-memory mode: active only when no SC-assuming observer watches the
-  // same launch (trace hooks and simtsan both replay/check values under
-  // sequential consistency, so they win and the model sits out).
+  // same launch (trace hooks, transaction event sinks and simtsan all
+  // replay/check values under sequential consistency, so they win and the
+  // model sits out).
   ActiveWmm = Wmm;
   if (ActiveWmm != nullptr &&
-      (static_cast<bool>(TraceHook) || SerialObserver ||
-       sanHooks() != nullptr)) {
+      (static_cast<bool>(TraceHook) || TxObserved || sanHooks() != nullptr)) {
     static std::atomic<bool> WarnedWmmConflict{false};
     if (!WarnedWmmConflict.exchange(true))
       std::fprintf(stderr,
@@ -860,11 +462,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
     });
 
   LaunchResult Result;
-  unsigned Jobs = resolveDeviceJobs();
-  if (Jobs > 1)
-    runParallelLoop(Result, Jobs);
-  else
-    runSerialLoop(Result);
+  runSerialLoop(Result);
 
   // Leftover buffered stores (watchdog/deadlock aborts) reach memory
   // before the host reads results.
@@ -876,7 +474,6 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
     Elapsed = std::max(Elapsed, Sm.Clock);
   Result.ElapsedCycles = Elapsed;
   Result.TotalRounds = RoundsExecuted;
-  Result.Replays = Replays;
 
   StatsSet &S = Result.Stats;
   for (unsigned P = 0; P < NumPhases; ++P)

@@ -19,10 +19,9 @@
 /// (setWmmModel; GPUSTM_WMM=1 via the harness) opts into a weakly ordered
 /// substrate -- per-lane store buffers plus stale load bindings, resolved
 /// by a seeded oracle -- so the protocol's fences are functionally tested
-/// (DESIGN.md section 11).  By default the round loop is serial; with
-/// GPUSTM_DEVICE_JOBS > 1 rounds from different SMs execute speculatively
-/// on worker threads but still *commit* in the serial (issue-cycle,
-/// SM-index) order, so all outputs stay bit-identical (DESIGN.md section 9).
+/// (DESIGN.md section 11).  One host thread runs the round loop, issuing
+/// rounds in (issue-cycle, SM-index) order; host parallelism lives between
+/// devices, not inside one (DESIGN.md section 9).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,17 +31,14 @@
 #include "simt/Memory.h"
 #include "simt/SanHooks.h"
 #include "wmm/MemModel.h"
-#include "simt/Spec.h"
 #include "simt/Timing.h"
 #include "simt/Warp.h"
 #include "support/Compiler.h"
 #include "support/SmallVector.h"
 #include "support/Stats.h"
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -65,10 +61,6 @@ struct DeviceConfig {
   size_t StackBytes = 64 * 1024;
   /// Abort the launch after this many warp rounds (livelock watchdog).
   uint64_t WatchdogRounds = 400u << 20;
-  /// Host threads executing warp rounds speculatively inside one launch
-  /// (results stay bit-identical to the serial schedule; see DESIGN.md
-  /// section 9).  0 = read GPUSTM_DEVICE_JOBS; 1 = the serial round loop.
-  unsigned DeviceJobs = 0;
   /// Schedule perturbation for fuzzing (DESIGN.md section 10): a nonzero
   /// seed replaces the scheduler's deterministic tie-breaking (first
   /// ready-now warp in round-robin order; lowest SM index across SMs) with
@@ -101,9 +93,6 @@ struct LaunchResult {
   uint64_t ElapsedCycles = 0;
   /// Total warp rounds executed.
   uint64_t TotalRounds = 0;
-  /// Speculative rounds discarded and re-executed (always 0 in serial mode;
-  /// a host-side quality metric -- never part of the modeled stats).
-  uint64_t Replays = 0;
   /// Per-phase cycles, memory transactions, atomics, ... (see Device.cpp
   /// for the counter names).
   StatsSet Stats;
@@ -139,8 +128,21 @@ struct BlockState {
   unsigned BarrierArrived = 0;
 };
 
-/// The simulated GPU (see file comment).  SimCounters lives in simt/Spec.h
-/// (speculative rounds accumulate a private delta of it).
+/// Hot-path event counters (plain fields; folded into the LaunchResult's
+/// StatsSet when the launch ends).
+struct SimCounters {
+  uint64_t Rounds = 0;
+  /// Lane fiber resumptions (one switch-in/switch-out pair each); with
+  /// Rounds this gives the host-side fiber-switches-per-round metric.
+  uint64_t LaneSteps = 0;
+  uint64_t MemTransactions = 0;
+  uint64_t Loads = 0;
+  uint64_t Stores = 0;
+  uint64_t Atomics = 0;
+  uint64_t Fences = 0;
+};
+
+/// The simulated GPU (see file comment).
 class Device {
 public:
   explicit Device(const DeviceConfig &Config);
@@ -186,50 +188,24 @@ public:
 
   /// Attach (or detach, with nullptr) a weak-memory model (src/wmm/).
   /// Caller keeps ownership; the model must outlive the launches it
-  /// relaxes.  While attached, launches run on the serial round loop and
-  /// the model's reorderings change *values* (that is the point); a
-  /// simtsan observer or trace hook on the same launch wins -- both
-  /// assume SC memory -- and disables the model with a one-line warning.
+  /// relaxes.  While attached, the model's reorderings change *values*
+  /// (that is the point); a simtsan observer, trace hook or transaction
+  /// observer (setTxObserved) on the same launch wins -- all assume SC
+  /// memory -- and disables the model with a one-line warning.
   void setWmmModel(wmm::MemModel *M) { Wmm = M; }
   /// The attached weak-memory model (null when none).
   wmm::MemModel *wmmModel() const { return Wmm; }
 
   /// Current simulated time (issue cycle of the executing warp round).
   /// Host-side controllers (e.g. the STM's adaptive transaction scheduler)
-  /// use this to measure throughput in modeled cycles.  Under speculative
-  /// execution the calling thread's round carries its own issue cycle.
-  uint64_t now() const {
-    const RoundSpec *S = ActiveSpecTLS;
-    return GPUSTM_UNLIKELY(S != nullptr) ? S->Issue : CurrentIssueCycle;
-  }
+  /// use this to measure throughput in modeled cycles.
+  uint64_t now() const { return CurrentIssueCycle; }
 
-  /// Force every launch of this device onto the serial round loop, as if
-  /// GPUSTM_DEVICE_JOBS=1 (with a one-line warning when that downgrades a
-  /// larger request).  Called by observers whose hooks assume serial round
-  /// order (transaction tracing, simtsan).
-  void requireSerialExecution() { SerialObserver = true; }
-
-  /// Host-side per-thread client state (the STM's transaction descriptors),
-  /// registered so speculative rounds can checkpoint and restore it along
-  /// with the lane fibers.  \p Locate returns the fixed-size record of one
-  /// global thread id; it must be safe to call from worker threads.
-  struct LaneStateHook {
-    size_t StateBytes = 0;
-    std::function<void *(unsigned GlobalThreadId)> Locate;
-  };
-  /// Install (or clear, with StateBytes == 0) the client lane-state hook.
-  void setLaneStateHook(LaneStateHook Hook) { LaneHook = std::move(Hook); }
-
-  /// Host-side single-word read that observes the calling thread's
-  /// in-flight round, if any: host controllers invoked from device code
-  /// (e.g. the STM's schedulers) must see that round's buffered stores, and
-  /// a speculative round must log the read for commit-time validation.
-  Word hostLoadWord(Addr A) const {
-    RoundSpec *S = ActiveSpecTLS;
-    if (GPUSTM_UNLIKELY(S != nullptr))
-      return S->specLoad(Mem, A);
-    return Mem.load(A);
-  }
+  /// Mark (or unmark) this device's launches as observed by a transaction
+  /// event sink (StmRuntime::setEventSink keeps it in step with the sink).
+  /// Like a trace hook or simtsan, such an observer assumes SC memory, so
+  /// while set it disables an attached weak-memory model.
+  void setTxObserved(bool Observed) { TxObserved = Observed; }
 
   /// Host-side helpers (the CPU side of the CUDA API in Figure 1).
   Addr hostAlloc(size_t NumWords) { return Mem.allocate(NumWords); }
@@ -303,7 +279,7 @@ private:
   /// the ready-now set (or the min-ReadyAt tie set) by a seeded hash of
   /// deterministic SM state, not round-robin order.
   void recomputeCandidateFuzzed(SmState &Sm);
-  /// The launch loops' cross-SM pick: the SM whose cached candidate issues
+  /// The round loop's cross-SM pick: the SM whose cached candidate issues
   /// earliest.  Ties go to the lowest SM index -- or, under schedule fuzz,
   /// to a seeded hash of the tie set.  Null when no SM has a candidate.
   SmState *pickIssueSm();
@@ -314,56 +290,9 @@ private:
   void noteLaneFinished(BlockState &Block);
   /// Discard all in-flight fibers after a watchdog trip or deadlock.
   void discardInFlight();
-
-  //===--------------------------------------------------------------------===//
-  // Speculative parallel execution (GPUSTM_DEVICE_JOBS > 1)
-  //===--------------------------------------------------------------------===//
-
-  /// One slot per SM: the SM's next round, handed off to worker threads.
-  /// Transitions: Idle -> Queued (coordinator) -> Running (worker claim, or
-  /// coordinator inline claim) -> Done (worker) -> Idle (coordinator).  The
-  /// Queued->Running CAS and the Done release/acquire pair carry all
-  /// cross-thread hand-off ordering.
-  struct SpecSlot {
-    enum : uint32_t { Idle = 0, Queued = 1, Running = 2, Done = 3 };
-    std::atomic<uint32_t> State{Idle};
-    RoundSpec Spec;
-  };
-
-  /// Worker count for this launch: config / GPUSTM_DEVICE_JOBS, forced to 1
-  /// (with a one-line warning) by serial-order observers or on targets
-  /// without the fast fiber backend.
-  unsigned resolveDeviceJobs() const;
-  /// The classic serial round loop (DeviceJobs == 1).
+  /// The round loop: issue the earliest candidate round until the grid
+  /// completes, deadlocks, or trips the watchdog.
   void runSerialLoop(LaunchResult &Result);
-  /// The speculative round loop: \p Jobs - 1 workers plus the coordinator.
-  void runParallelLoop(LaunchResult &Result, unsigned Jobs);
-  /// Worker thread body: claim Queued slots, checkpoint, execute, mark Done.
-  void specWorkerLoop();
-  /// Queue a fresh spec on every SM with a candidate and an idle slot.
-  void queueSpecs();
-  /// Snapshot everything a speculative round may mutate eagerly (see the
-  /// RoundSpec file comment) so restoreRound can undo it bit-exactly.
-  void takeCheckpoint(RoundSpec &S);
-  /// Undo an executed speculative round from its checkpoint.
-  void restoreRound(RoundSpec &S);
-  /// Cancel (Queued) or doom+join+restore (Running/Done) SM \p SmIdx's
-  /// in-flight spec, leaving the slot Idle.
-  void reclaimSpec(unsigned SmIdx);
-  /// Reclaim every in-flight spec (retirement, watchdog, loop exit).
-  void drainAllSpecs();
-  /// Reclaim every spec except the calling replay's own (host serial
-  /// points; called from ThreadCtx::hostSerialPoint).
-  void drainSpecsForSerialPoint();
-  /// Commit \p S at the head of the serial order: reclaim watcher SMs its
-  /// writes may wake, apply the write buffer with serial wake semantics,
-  /// register surviving parks, recycle stacks, fold counters, and advance
-  /// the SM clock / round-robin exactly like the serial loop.  Returns
-  /// false when the round watchdog tripped.
-  bool commitApply(SmState &Sm, RoundSpec &S);
-  /// Snapshot \p Block's other warps into the active spec before a barrier
-  /// release / lane-finish wake mutates their scheduling state.
-  void snapshotSiblings(RoundSpec &S, BlockState &Block);
 
   DeviceConfig Config;
   Memory Mem;
@@ -387,12 +316,8 @@ private:
   unsigned NextPendingBlock = 0;
   unsigned LiveBlocks = 0;
   uint64_t RoundsExecuted = 0;
-  /// Speculation state (empty / zero whenever DeviceJobs resolves to 1).
-  std::vector<std::unique_ptr<SpecSlot>> SpecSlots;
-  std::vector<std::thread> SpecWorkers;
-  std::atomic<bool> SpecQuit{false};
-  uint64_t Replays = 0;
-  bool SerialObserver = false;
+  /// A transaction event sink is attached (see setTxObserved).
+  bool TxObserved = false;
   /// Attached weak-memory model (see setWmmModel) and the launch-scoped
   /// active pointer: non-null only while a launch is actually relaxing
   /// memory, so every hot-path hook is one pointer test when off.
@@ -400,7 +325,6 @@ private:
   wmm::MemModel *ActiveWmm = nullptr;
   /// Resolved schedule-fuzz seed (0 = off; see DeviceConfig::SchedFuzzSeed).
   uint64_t SchedSeed = 0;
-  LaneStateHook LaneHook;
   SimCounters Counters;
   uint64_t PhaseTotals[NumPhases] = {};
   uint64_t AbortedTotal = 0;

@@ -45,15 +45,9 @@ public:
 
   size_t size() const { return Words.size(); }
 
-  // Loads and stores are relaxed atomics: under speculative parallel
-  // execution (GPUSTM_DEVICE_JOBS > 1) worker threads read the arena while
-  // the commit coordinator -- the only writer -- applies committed write
-  // buffers.  Value validation at commit handles stale reads; the atomics
-  // only make the data race well-defined.  Plain word accesses compile to
-  // the same single mov, so the serial path is unaffected.
   Word load(Addr A) const {
     assert(A < Words.size() && "global memory load out of bounds");
-    return __atomic_load_n(&Words[A], __ATOMIC_RELAXED);
+    return Words[A];
   }
 
   /// Host-cache prefetch hint for the word backing \p A.  Purely a host
@@ -67,7 +61,7 @@ public:
 
   void store(Addr A, Word V) {
     assert(A < Words.size() && "global memory store out of bounds");
-    __atomic_store_n(&Words[A], V, __ATOMIC_RELAXED);
+    Words[A] = V;
   }
 
   /// *A |= V; returns the old value.

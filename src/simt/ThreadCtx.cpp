@@ -7,7 +7,6 @@
 #include "simt/ThreadCtx.h"
 #include "simt/Device.h"
 #include "simt/Fiber.h"
-#include "simt/Spec.h"
 #include "simt/Warp.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -40,19 +39,11 @@ unsigned ThreadCtx::smId() const {
 
 // Arena bounds check (always on): an out-of-arena word access used to be
 // undefined behavior in release builds; now it is a diagnosable abort, with
-// a simtsan report first when a detector is attached.  A *speculative*
-// round that trips it may be a misspeculation (a torn read fabricated the
-// address), so it dooms itself instead of aborting; the authoritative
-// replay at the serial commit point either passes (misspeculation) or
-// aborts with exactly the serial run's coordinates and cycle.
+// a simtsan report first when a detector is attached.
 #define GPUSTM_SAN_BOUNDS(A, OPK)                                              \
   do {                                                                         \
-    if (GPUSTM_UNLIKELY(static_cast<size_t>(A) >= Dev->memory().size())) {     \
-      RoundSpec *BS_ = ActiveSpecTLS;                                          \
-      if (BS_ != nullptr && !BS_->IsReplay)                                    \
-        specDoomedPark(*BS_);                                                  \
+    if (GPUSTM_UNLIKELY(static_cast<size_t>(A) >= Dev->memory().size()))      \
       outOfBoundsAccess((A), SanOp::OPK);                                      \
-    }                                                                          \
   } while (false)
 
 #if GPUSTM_SAN_ENABLED
@@ -106,53 +97,20 @@ Word ThreadCtx::yieldOp(const Op &O) {
   return Self->OpResult;
 }
 
-void ThreadCtx::specDoomedPark(RoundSpec &S) {
-  S.Doomed.store(true, std::memory_order_relaxed);
-  // Yield forever: the executing thread stops stepping lanes at the next
-  // doom check, and restoreRound rewinds this stack past this frame.
-  Op O;
-  O.Kind = OpKind::Compute;
-  O.Cycles = 1;
-  for (;;)
-    yieldOp(O);
-}
-
-void ThreadCtx::hostSerialPoint() {
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_LIKELY(S == nullptr))
-    return;
-  if (S->IsReplay) {
-    Dev->drainSpecsForSerialPoint();
-    return;
-  }
-  specDoomedPark(*S);
-}
-
 void ThreadCtx::prefetchMem(Addr A) const { Dev->memory().prefetch(A); }
 
-// The memory operations below run either directly against the arena (the
-// serial loop, the common case) or, under an in-flight RoundSpec, through
-// the spec's logged-read / buffered-write view.  The simtsan access hook
-// stays in the serial branch only: an attached observer forces serial
-// execution, so the two never coexist.  The same holds for the weak-memory
-// model hooks (Dev->ActiveWmm): weak-memory launches are always serial and
-// never traced or sanitized, so all three stay confined to the serial
-// branch and off mode costs one predictable-null pointer test.
+// The memory operations below act directly on the arena.  The weak-memory
+// model hooks (Dev->ActiveWmm) and the simtsan access hook never fire on
+// the same launch (an attached observer disables the model), and each
+// costs one predictable-null pointer test when off.
 
 Word ThreadCtx::load(Addr A) {
   GPUSTM_SAN_BOUNDS(A, Load);
-  Word V;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    V = S->specLoad(Dev->memory(), A);
-    ++S->Counters.Loads;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    V = GPUSTM_UNLIKELY(M != nullptr) ? M->load(globalThreadId(), A)
-                                      : Dev->memory().load(A);
-    GPUSTM_SAN_ACCESS(A, Load);
-    ++Dev->Counters.Loads;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  Word V = GPUSTM_UNLIKELY(M != nullptr) ? M->load(globalThreadId(), A)
+                                         : Dev->memory().load(A);
+  GPUSTM_SAN_ACCESS(A, Load);
+  ++Dev->Counters.Loads;
   Op O;
   O.Kind = OpKind::Load;
   O.Address = A;
@@ -162,18 +120,11 @@ Word ThreadCtx::load(Addr A) {
 
 Word ThreadCtx::loadFresh(Addr A) {
   GPUSTM_SAN_BOUNDS(A, Load);
-  Word V;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    V = S->specLoad(Dev->memory(), A);
-    ++S->Counters.Loads;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    V = GPUSTM_UNLIKELY(M != nullptr) ? M->loadFresh(globalThreadId(), A)
-                                      : Dev->memory().load(A);
-    GPUSTM_SAN_ACCESS(A, Load);
-    ++Dev->Counters.Loads;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  Word V = GPUSTM_UNLIKELY(M != nullptr) ? M->loadFresh(globalThreadId(), A)
+                                         : Dev->memory().load(A);
+  GPUSTM_SAN_ACCESS(A, Load);
+  ++Dev->Counters.Loads;
   Op O;
   O.Kind = OpKind::Load;
   O.Address = A;
@@ -183,26 +134,20 @@ Word ThreadCtx::loadFresh(Addr A) {
 
 void ThreadCtx::store(Addr A, Word V) {
   GPUSTM_SAN_BOUNDS(A, Store);
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    S->specStore(A, V);
-    ++S->Counters.Stores;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr)) {
-      // Buffered stores stay invisible (no memory write, no watcher
-      // wakeups) until the model drains them through the Device's sink.
-      if (!M->store(globalThreadId(), A, V)) {
-        Dev->memory().store(A, V);
-        Dev->notifyWrite(A);
-      }
-    } else {
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr)) {
+    // Buffered stores stay invisible (no memory write, no watcher wakeups)
+    // until the model drains them through the Device's sink.
+    if (!M->store(globalThreadId(), A, V)) {
       Dev->memory().store(A, V);
-      GPUSTM_SAN_ACCESS(A, Store);
       Dev->notifyWrite(A);
     }
-    ++Dev->Counters.Stores;
+  } else {
+    Dev->memory().store(A, V);
+    GPUSTM_SAN_ACCESS(A, Store);
+    Dev->notifyWrite(A);
   }
+  ++Dev->Counters.Stores;
   Op O;
   O.Kind = OpKind::Store;
   O.Address = A;
@@ -211,22 +156,15 @@ void ThreadCtx::store(Addr A, Word V) {
 
 Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
   GPUSTM_SAN_BOUNDS(A, Atomic);
-  Word Old;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    Old = S->specAtomicCAS(Dev->memory(), A, Expected, Desired);
-    ++S->Counters.Atomics;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->preAtomic(globalThreadId(), A);
-    Old = Dev->memory().atomicCAS(A, Expected, Desired);
-    GPUSTM_SAN_ACCESS(A, Atomic);
-    Dev->notifyWrite(A);
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->postAtomic(globalThreadId(), A);
-    ++Dev->Counters.Atomics;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->preAtomic(globalThreadId(), A);
+  Word Old = Dev->memory().atomicCAS(A, Expected, Desired);
+  GPUSTM_SAN_ACCESS(A, Atomic);
+  Dev->notifyWrite(A);
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->postAtomic(globalThreadId(), A);
+  ++Dev->Counters.Atomics;
   Op O;
   O.Kind = OpKind::Atomic;
   O.Address = A;
@@ -236,22 +174,15 @@ Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
 
 Word ThreadCtx::atomicAdd(Addr A, Word V) {
   GPUSTM_SAN_BOUNDS(A, Atomic);
-  Word Old;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    Old = S->specAtomicAdd(Dev->memory(), A, V);
-    ++S->Counters.Atomics;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->preAtomic(globalThreadId(), A);
-    Old = Dev->memory().atomicAdd(A, V);
-    GPUSTM_SAN_ACCESS(A, Atomic);
-    Dev->notifyWrite(A);
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->postAtomic(globalThreadId(), A);
-    ++Dev->Counters.Atomics;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->preAtomic(globalThreadId(), A);
+  Word Old = Dev->memory().atomicAdd(A, V);
+  GPUSTM_SAN_ACCESS(A, Atomic);
+  Dev->notifyWrite(A);
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->postAtomic(globalThreadId(), A);
+  ++Dev->Counters.Atomics;
   Op O;
   O.Kind = OpKind::Atomic;
   O.Address = A;
@@ -261,22 +192,15 @@ Word ThreadCtx::atomicAdd(Addr A, Word V) {
 
 Word ThreadCtx::atomicOr(Addr A, Word V) {
   GPUSTM_SAN_BOUNDS(A, Atomic);
-  Word Old;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    Old = S->specAtomicOr(Dev->memory(), A, V);
-    ++S->Counters.Atomics;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->preAtomic(globalThreadId(), A);
-    Old = Dev->memory().atomicOr(A, V);
-    GPUSTM_SAN_ACCESS(A, Atomic);
-    Dev->notifyWrite(A);
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->postAtomic(globalThreadId(), A);
-    ++Dev->Counters.Atomics;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->preAtomic(globalThreadId(), A);
+  Word Old = Dev->memory().atomicOr(A, V);
+  GPUSTM_SAN_ACCESS(A, Atomic);
+  Dev->notifyWrite(A);
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->postAtomic(globalThreadId(), A);
+  ++Dev->Counters.Atomics;
   Op O;
   O.Kind = OpKind::Atomic;
   O.Address = A;
@@ -286,22 +210,15 @@ Word ThreadCtx::atomicOr(Addr A, Word V) {
 
 Word ThreadCtx::atomicExch(Addr A, Word V) {
   GPUSTM_SAN_BOUNDS(A, Atomic);
-  Word Old;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    Old = S->specAtomicExch(Dev->memory(), A, V);
-    ++S->Counters.Atomics;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->preAtomic(globalThreadId(), A);
-    Old = Dev->memory().atomicExch(A, V);
-    GPUSTM_SAN_ACCESS(A, Atomic);
-    Dev->notifyWrite(A);
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->postAtomic(globalThreadId(), A);
-    ++Dev->Counters.Atomics;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->preAtomic(globalThreadId(), A);
+  Word Old = Dev->memory().atomicExch(A, V);
+  GPUSTM_SAN_ACCESS(A, Atomic);
+  Dev->notifyWrite(A);
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->postAtomic(globalThreadId(), A);
+  ++Dev->Counters.Atomics;
   Op O;
   O.Kind = OpKind::Atomic;
   O.Address = A;
@@ -311,22 +228,15 @@ Word ThreadCtx::atomicExch(Addr A, Word V) {
 
 Word ThreadCtx::atomicMin(Addr A, Word V) {
   GPUSTM_SAN_BOUNDS(A, Atomic);
-  Word Old;
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    Old = S->specAtomicMin(Dev->memory(), A, V);
-    ++S->Counters.Atomics;
-  } else {
-    wmm::MemModel *M = Dev->ActiveWmm;
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->preAtomic(globalThreadId(), A);
-    Old = Dev->memory().atomicMin(A, V);
-    GPUSTM_SAN_ACCESS(A, Atomic);
-    Dev->notifyWrite(A);
-    if (GPUSTM_UNLIKELY(M != nullptr))
-      M->postAtomic(globalThreadId(), A);
-    ++Dev->Counters.Atomics;
-  }
+  wmm::MemModel *M = Dev->ActiveWmm;
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->preAtomic(globalThreadId(), A);
+  Word Old = Dev->memory().atomicMin(A, V);
+  GPUSTM_SAN_ACCESS(A, Atomic);
+  Dev->notifyWrite(A);
+  if (GPUSTM_UNLIKELY(M != nullptr))
+    M->postAtomic(globalThreadId(), A);
+  ++Dev->Counters.Atomics;
   Op O;
   O.Kind = OpKind::Atomic;
   O.Address = A;
@@ -335,16 +245,11 @@ Word ThreadCtx::atomicMin(Addr A, Word V) {
 }
 
 void ThreadCtx::threadfence() {
-  RoundSpec *S = ActiveSpecTLS;
-  if (GPUSTM_UNLIKELY(S != nullptr)) {
-    ++S->Counters.Fences;
-  } else {
-    // Weak-memory mode: the fence drains this lane's store buffer and
-    // raises its binding floor (the fence's two ordering guarantees).
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->fence(globalThreadId());
-    ++Dev->Counters.Fences;
-  }
+  // Weak-memory mode: the fence drains this lane's store buffer and raises
+  // its binding floor (the fence's two ordering guarantees).
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->fence(globalThreadId());
+  ++Dev->Counters.Fences;
 #if GPUSTM_SAN_ENABLED
   if (GPUSTM_UNLIKELY(Dev->San != nullptr))
     Dev->San->onFence(globalThreadId());
@@ -366,9 +271,8 @@ void ThreadCtx::memWaitEquals(Addr A, Word V) {
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->observeFresh(globalThreadId(), A);
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->observeFresh(globalThreadId(), A);
   Op O;
   O.Kind = OpKind::MemWait;
   O.Address = A;
@@ -382,9 +286,8 @@ void ThreadCtx::memWaitBitClear(Addr A, Word Mask) {
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->observeFresh(globalThreadId(), A);
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->observeFresh(globalThreadId(), A);
   Op O;
   O.Kind = OpKind::MemWait;
   O.Address = A;
@@ -398,9 +301,8 @@ void ThreadCtx::memWaitNotEquals(Addr A, Word V) {
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->observeFresh(globalThreadId(), A);
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->observeFresh(globalThreadId(), A);
   Op O;
   O.Kind = OpKind::MemWait;
   O.Address = A;
@@ -414,9 +316,8 @@ void ThreadCtx::memWaitGreaterEq(Addr A, Word V) {
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->observeFresh(globalThreadId(), A);
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->observeFresh(globalThreadId(), A);
   Op O;
   O.Kind = OpKind::MemWait;
   O.Address = A;
@@ -429,9 +330,8 @@ void ThreadCtx::syncThreads() {
   // Weak memory: a block barrier drains the arriving lane's buffer and orders
   // its observations (the release side is completed by the Device's
   // syncPoint when the barrier opens).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->barrierArrive(globalThreadId());
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->barrierArrive(globalThreadId());
   Op O;
   O.Kind = OpKind::BlockBarrier;
   yieldOp(O);
@@ -441,9 +341,8 @@ void ThreadCtx::syncWarp() {
   // Weak memory: a warp-level sync drains the arriving lane's buffer and orders
   // its observations (the release side is completed by the Device's
   // syncPoint when the barrier opens).
-  if (ActiveSpecTLS == nullptr)
-    if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-      M->barrierArrive(globalThreadId());
+  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
+    M->barrierArrive(globalThreadId());
   Op O;
   O.Kind = OpKind::WarpSync;
   yieldOp(O);

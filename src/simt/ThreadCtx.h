@@ -36,7 +36,6 @@ namespace simt {
 class Device;
 class Warp;
 struct Lane;
-struct RoundSpec;
 
 /// Per-thread device execution context (see file comment).
 class ThreadCtx {
@@ -169,15 +168,6 @@ public:
   /// End the transaction attribution scope.
   void txMarkEnd(bool Committed);
 
-  /// Declare that the code following this call mutates host-side state
-  /// shared across lanes (e.g. the STM's adaptive-scheduler counters) and
-  /// therefore requires serial round order.  Free in serial mode.  Under
-  /// speculative parallel execution (GPUSTM_DEVICE_JOBS > 1) a speculative
-  /// round dooms itself here (it is restored and re-executed at its serial
-  /// commit point), while the authoritative re-execution first drains every
-  /// concurrent speculation so the mutation is race-free and ordered.
-  void hostSerialPoint();
-
   //===--------------------------------------------------------------------===//
   // simtsan annotation (see simt/SanHooks.h)
   //===--------------------------------------------------------------------===//
@@ -217,10 +207,6 @@ private:
   /// Cold path of the per-access simtsan hook: build a SanAccess with full
   /// coordinates and deliver it (callers guard on Dev->San).
   GPUSTM_NOINLINE void sanAccess(Addr A, SanOp Op);
-  /// Doom the calling speculative round and park this lane until the round
-  /// is discarded (the restore rewinds the lane's stack past this frame;
-  /// device code keeps lane state trivially destructible, see Fiber.h).
-  [[noreturn]] GPUSTM_NOINLINE void specDoomedPark(RoundSpec &S);
   /// An access left the memory arena: report through simtsan when attached,
   /// then abort with coordinates (never undefined behavior).
   [[noreturn]] GPUSTM_NOINLINE void outOfBoundsAccess(Addr A, SanOp Op);

@@ -6,7 +6,6 @@
 
 #include "simt/Warp.h"
 #include "simt/Device.h"
-#include "simt/Spec.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -106,7 +105,7 @@ void Warp::releaseBlockBarrier() {
               [&](unsigned I) { setState(I, LaneState::Runnable); });
 }
 
-void Warp::stepLane(unsigned I, RoundSpec *Spec) {
+void Warp::stepLane(unsigned I) {
   Lane &L = Lanes[I];
   assert(L.State == LaneState::Runnable && "stepping a non-runnable lane");
   // No need to clear PendingOp: every yield path rewrites it in full, and
@@ -115,15 +114,10 @@ void Warp::stepLane(unsigned I, RoundSpec *Spec) {
   if (L.Fib.isFinished()) {
     setState(I, LaneState::Finished);
     ConvergencePending = true; // A finish can complete a convergence.
-    if (GPUSTM_UNLIKELY(Spec != nullptr))
-      // Deferred: a discarded round reinstates the stack via the lane
-      // checkpoint, so it must not reach the (coordinator-owned) pool yet.
-      Spec->StackReleases.push_back(L.Fib.takeStack());
-    else
-      Dev.Stacks.release(L.Fib.takeStack());
+    Dev.Stacks.release(L.Fib.takeStack());
     // Weak memory: an exiting lane's buffered stores must reach memory
     // (oracle-ordered; exit is a flush point but not an ordering point).
-    if (GPUSTM_UNLIKELY(Spec == nullptr && Dev.ActiveWmm != nullptr))
+    if (GPUSTM_UNLIKELY(Dev.ActiveWmm != nullptr))
       Dev.ActiveWmm->laneFinished(L.Ctx.globalThreadId());
     Dev.noteLaneFinished(*Block);
     return;
@@ -196,21 +190,12 @@ void Warp::stepLane(unsigned I, RoundSpec *Spec) {
       Dev.San->onMemWait(L.Ctx.warpGlobalId(), L.PendingOp.Address);
 #endif
     // Park only when the condition does not already hold; the caller
-    // re-checks after waking, so a spurious immediate pass is fine.  Under a
-    // spec the poll reads through the write buffer (a same-round store must
-    // satisfy the wait exactly as it would in serial order) and is logged
-    // for validation; the park itself is deferred to commit.
-    Word Cur = GPUSTM_UNLIKELY(Spec != nullptr)
-                   ? Spec->specLoad(Dev.memory(), L.PendingOp.Address)
-                   : Dev.memory().load(L.PendingOp.Address);
+    // re-checks after waking, so a spurious immediate pass is fine.
+    Word Cur = Dev.memory().load(L.PendingOp.Address);
     if (!memWaitSatisfied(L.PendingOp.Wait, Cur, L.PendingOp.Cycles)) {
       setState(I, LaneState::AtMemWait);
-      if (GPUSTM_UNLIKELY(Spec != nullptr))
-        Spec->Parks.push_back({L.PendingOp.Address, L.PendingOp.Cycles, I,
-                               L.PendingOp.Wait, /*Canceled=*/false});
-      else
-        Dev.addWatch(L.PendingOp.Address,
-                     {this, I, L.PendingOp.Cycles, L.PendingOp.Wait});
+      Dev.addWatch(L.PendingOp.Address,
+                   {this, I, L.PendingOp.Cycles, L.PendingOp.Wait});
     }
     break;
   }
@@ -484,10 +469,6 @@ RoundCost Warp::executeRound() {
   uint64_t Stepped = stateMask(LaneState::Runnable);
   assert(Stepped != 0 && "executeRound without runnable lanes");
 
-  // Speculation record for this round, if any (set by the coordinator or a
-  // worker thread before calling in; null in serial mode).
-  RoundSpec *const Spec = ActiveSpecTLS;
-
   // Step in increasing lane order (bit-identity), software-pipelining the
   // prefetches: Lane structs four steps out (pure address arithmetic) and
   // saved switch frames two steps out (the Lane line arrives two
@@ -501,12 +482,6 @@ RoundCost Warp::executeRound() {
   for (unsigned K = 0; K < N && K < 4; ++K)
     __builtin_prefetch(&Lanes[Idx[K]]);
   for (unsigned P = 0; P < N; ++P) {
-    // A doomed speculation is discarded whole, so stop stepping lanes as
-    // soon as the coordinator flags it; everything done so far is restored
-    // from the checkpoint.
-    if (GPUSTM_UNLIKELY(Spec != nullptr) &&
-        Spec->Doomed.load(std::memory_order_relaxed))
-      return RoundCost{};
     if (P + 4 < N)
       __builtin_prefetch(&Lanes[Idx[P + 4]]);
     if (P + 2 < N) {
@@ -516,7 +491,7 @@ RoundCost Warp::executeRound() {
         __builtin_prefetch(SP + 56); // 7-slot frame may straddle a line
       }
     }
-    stepLane(Idx[P], Spec);
+    stepLane(Idx[P]);
   }
 
   if (GPUSTM_UNLIKELY(static_cast<bool>(Dev.TraceHook))) {
@@ -544,8 +519,7 @@ RoundCost Warp::executeRound() {
                           stateMask(LaneState::Finished)) != AllLanes;
   }
 
-  SimCounters &C = GPUSTM_UNLIKELY(Spec != nullptr) ? Spec->Counters
-                                                    : Dev.Counters;
+  SimCounters &C = Dev.Counters;
   C.Rounds += 1;
   C.LaneSteps += static_cast<uint64_t>(std::popcount(Stepped));
   C.MemTransactions += Cost.MemTransactions;

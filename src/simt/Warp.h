@@ -34,7 +34,6 @@ namespace simt {
 
 class Device;
 struct BlockState;
-struct RoundSpec;
 
 /// Scheduling state of one lane.
 enum class LaneState : uint8_t {
@@ -148,13 +147,9 @@ public:
 private:
   friend class ThreadCtx;
   friend class Device;
-  friend struct RoundSpec;
 
   /// Step one lane: resume its fiber until it yields an op or finishes.
-  /// \p Spec is the round's speculation record (null in serial mode): memory
-  /// reads, parks, and stack releases route through it instead of device
-  /// state.
-  void stepLane(unsigned I, RoundSpec *Spec);
+  void stepLane(unsigned I);
   /// Try to resolve every pending convergence condition; may release lanes.
   void resolveConvergence();
   /// Compute the cost of the ops stepped this round.

@@ -11,8 +11,6 @@
 #include "support/Format.h"
 #include "support/MathExtras.h"
 
-#include <type_traits>
-
 using namespace gpustm;
 using namespace gpustm::stm;
 using simt::Addr;
@@ -91,20 +89,6 @@ StmRuntime::StmRuntime(simt::Device &Dev, const StmConfig &Config,
                       Sorted ? LockLog::Mode::Sorted : LockLog::Mode::Append);
   }
 
-  // A transaction's whole host-side state (snapshot, set sizes, bloom
-  // filter, lock-log counters, staged counters) lives in its TxDesc.
-  // Register it with the device so speculative rounds checkpoint and
-  // restore it alongside lane registers; that is what makes a doomed
-  // speculation side-effect free at this layer.
-  static_assert(std::is_trivially_copyable_v<TxDesc>,
-                "TxDesc is checkpointed by memcpy under speculation");
-  simt::Device::LaneStateHook Hook;
-  Hook.StateBytes = sizeof(TxDesc);
-  Hook.Locate = [this](unsigned GlobalThreadId) -> void * {
-    return &Descs[GlobalThreadId];
-  };
-  Dev.setLaneStateHook(Hook);
-
 #if GPUSTM_SAN_ENABLED
   // Tell an attached simtsan detector where the version locks live so it
   // can check the lock protocol (ownership, version monotonicity, fencing).
@@ -119,31 +103,11 @@ StmRuntime::StmRuntime(simt::Device &Dev, const StmConfig &Config,
 #endif
 }
 
-StmRuntime::~StmRuntime() { Dev.setLaneStateHook(simt::Device::LaneStateHook()); }
-
-StmCounters StmRuntime::counters() const {
-  StmCounters C = Counters;
-  for (const TxDesc &D : Descs) {
-    const StmCounters &S = D.Stats;
-    C.Commits += S.Commits;
-    C.ReadOnlyCommits += S.ReadOnlyCommits;
-    C.Aborts += S.Aborts;
-    C.AbortsReadValidation += S.AbortsReadValidation;
-    C.AbortsCommitValidation += S.AbortsCommitValidation;
-    C.LockFailures += S.LockFailures;
-    C.StaleSnapshots += S.StaleSnapshots;
-    C.FalseConflictsAvoided += S.FalseConflictsAvoided;
-    C.VbvRuns += S.VbvRuns;
-    C.TxReads += S.TxReads;
-    C.TxWrites += S.TxWrites;
-  }
-  return C;
-}
-
-void StmRuntime::resetCounters() {
-  Counters = StmCounters();
-  for (TxDesc &D : Descs)
-    D.Stats = StmCounters();
+StmRuntime::~StmRuntime() {
+  // A sink still attached (a run that never detached its recorder) must
+  // not leave the device marked observed for the runtimes that follow.
+  if (Sink != nullptr)
+    Dev.setTxObserved(false);
 }
 
 void StmRuntime::emitEvent(const ThreadCtx &Ctx, TxEventKind K, AbortCause C,
@@ -202,7 +166,7 @@ void StmRuntime::cglTransaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
     simt::MemClassScope San(Ctx, simt::MemClass::Meta);
     Ctx.store(CglServingAddr, MyTicket + 1);
   }
-  ++D.Stats.Commits;
+  ++Counters.Commits;
   if (GPUSTM_UNLIKELY(tracing()))
     emitEvent(Ctx, TxEventKind::Commit, AbortCause::None, simt::InvalidAddr, 0,
               D.LastCommitVersion);
@@ -221,10 +185,8 @@ void StmRuntime::schedulerAcquire(ThreadCtx &Ctx) {
   Ctx.setPhase(simt::Phase::TxInit);
   simt::MemClassScope San(Ctx, simt::MemClass::Meta);
   Word Ticket = Ctx.atomicAdd(SchedTicketAddr, 1);
-  // Controller word, read host-side (no device op).  hostLoadWord logs the
-  // read under speculation, so an adaptive cap change between snapshot and
-  // commit point invalidates and replays the round.
-  Word Cap = Dev.hostLoadWord(SchedCapAddr);
+  // Controller word, read host-side (no device op).
+  Word Cap = Dev.memory().load(SchedCapAddr);
   if (Ticket >= Cap) {
     Word Target = Ticket - Cap + 1;
     for (;;) {
@@ -259,7 +221,7 @@ void StmRuntime::schedulerAdjust() {
   if (SchedPrevThroughput >= 0.0 && Throughput < SchedPrevThroughput)
     SchedGrowing = !SchedGrowing;
   SchedPrevThroughput = Throughput;
-  Word Cap = Dev.hostLoadWord(SchedCapAddr);
+  Word Cap = Dev.memory().load(SchedCapAddr);
   if (SchedGrowing)
     Cap = Cap * 2 <= SchedMaxCap ? Cap * 2 : static_cast<Word>(SchedMaxCap);
   else
@@ -324,28 +286,20 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
       San->onTxEnd(Ctx.globalThreadId(), Committed, Dev.now());
 #endif
     // The adaptive controllers (locking prober, scheduler hill-climber)
-    // mutate runtime-wide host state, so their windows are maintained only
-    // when the respective controller is on, behind a serial point that
-    // orders the mutation with the round commit order under speculation.
+    // keep their windows only when the respective controller is on.
     if (Committed) {
-      ++D.Stats.Commits;
-      if (Scheduled && Config.SchedulerAdaptive) {
-        Ctx.hostSerialPoint();
+      ++Counters.Commits;
+      if (Scheduled && Config.SchedulerAdaptive)
         ++SchedWindowCommits;
-      }
       if (GPUSTM_UNLIKELY(tracing()))
         emitEvent(Ctx, TxEventKind::Commit, AbortCause::None, simt::InvalidAddr,
                   D.WriteCount, D.WriteCount ? D.LastCommitVersion : 0);
-      if (Config.AdaptiveLocking) {
-        Ctx.hostSerialPoint();
+      if (Config.AdaptiveLocking)
         lockingController();
-      }
     } else {
-      ++D.Stats.Aborts;
-      if (Scheduled && Config.SchedulerAdaptive) {
-        Ctx.hostSerialPoint();
+      ++Counters.Aborts;
+      if (Scheduled && Config.SchedulerAdaptive)
         ++SchedWindowAborts;
-      }
       if (GPUSTM_UNLIKELY(tracing()))
         emitEvent(Ctx, TxEventKind::Abort,
                   D.LastAbort == AbortCause::None ? AbortCause::Explicit
@@ -354,10 +308,8 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
     }
     if (Scheduled) {
       schedulerRelease(Ctx);
-      if (Config.SchedulerAdaptive) {
-        Ctx.hostSerialPoint();
+      if (Config.SchedulerAdaptive)
         schedulerAdjust();
-      }
     }
     if (Committed)
       break;
@@ -365,7 +317,7 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
 }
 
 StatsSet StmRuntime::statsSet() const {
-  StmCounters C = counters();
+  const StmCounters &C = Counters;
   StatsSet S;
   S.set("stm.commits", C.Commits);
   S.set("stm.read_only_commits", C.ReadOnlyCommits);

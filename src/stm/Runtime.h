@@ -46,13 +46,7 @@ namespace stm {
 
 class Tx;
 
-/// Per-thread transaction descriptor ("registers" of the running
-/// transaction: snapshot, flags, set sizes, bloom filter, lock-log bucket
-/// counters).  The logs themselves live in simulated global memory.
-/// Host-side aggregate counters for one or more launches.  Each TxDesc
-/// stages its own copy so transaction paths touch only per-lane state (kept
-/// speculation-safe by the device's lane-state checkpoint); counters()
-/// folds the stages into the runtime-wide base deterministically.
+/// Host-side aggregate counters for one or more launches.
 struct StmCounters {
   uint64_t Commits = 0;
   uint64_t ReadOnlyCommits = 0;
@@ -67,6 +61,9 @@ struct StmCounters {
   uint64_t TxWrites = 0;
 };
 
+/// Per-thread transaction descriptor ("registers" of the running
+/// transaction: snapshot, flags, set sizes, bloom filter, lock-log bucket
+/// counters).  The logs themselves live in simulated global memory.
 struct TxDesc {
   Word Snapshot = 0;
   bool Valid = true;   ///< The paper's isOpaque flag.
@@ -87,8 +84,6 @@ struct TxDesc {
   /// the adaptive-locking extension may move the global policy between
   /// attempts).
   CommitLocking TxLocking = CommitLocking::Sorted;
-  /// This thread's staged counter contributions (see StmCounters).
-  StmCounters Stats;
 };
 
 /// The GPU-STM runtime (see file comment).
@@ -116,11 +111,9 @@ public:
   /// Address of the version-lock word for lock index \p Idx.
   simt::Addr lockWordAddr(Word Idx) const { return LockTabBase + Idx; }
 
-  /// Counters accumulated since the last resetCounters(): the runtime-wide
-  /// base plus every descriptor's staged contribution, folded in thread-id
-  /// order (deterministic regardless of execution mode).
-  StmCounters counters() const;
-  void resetCounters();
+  /// Counters accumulated since the last resetCounters().
+  const StmCounters &counters() const { return Counters; }
+  void resetCounters() { Counters = StmCounters(); }
   /// Counters exported as a named StatsSet.
   StatsSet statsSet() const;
 
@@ -134,7 +127,7 @@ public:
 
   /// Current concurrency cap of the transaction scheduler (meaningful only
   /// with EnableScheduler).
-  Word schedulerCap() const { return Dev.hostLoadWord(SchedCapAddr); }
+  Word schedulerCap() const { return Dev.memory().load(SchedCapAddr); }
 
   /// Commit-locking policy currently in force (moves only under
   /// AdaptiveLocking).
@@ -142,13 +135,12 @@ public:
 
   /// Install (or clear, with nullptr) a transaction-event sink.  Emission
   /// is host-side only: no simulated device operation is issued for it, so
-  /// modeled cycles and counters are unchanged by tracing.  A sink observes
-  /// rounds in serial order, so attaching one pins the device to serial
-  /// execution (GPUSTM_DEVICE_JOBS is forced to 1 with a warning).
+  /// modeled cycles and counters are unchanged by tracing.  A sink assumes
+  /// SC memory, so the device is marked observed (an attached weak-memory
+  /// model sits out) exactly while a sink is installed.
   void setEventSink(TxEventSink *S) {
     Sink = S;
-    if (S != nullptr)
-      Dev.requireSerialExecution();
+    Dev.setTxObserved(S != nullptr);
   }
   /// True when a sink is installed (the emit points' cold-path guard).
   bool tracing() const { return Sink != nullptr; }
@@ -198,7 +190,7 @@ private:
   simt::Addr EscalationAddr = simt::InvalidAddr;
 
   std::vector<TxDesc> Descs;
-  StmCounters Counters; ///< Base for counters(); descriptors stage the rest.
+  StmCounters Counters;
   TxEventSink *Sink = nullptr;
 
   // Adaptive-locking state (host side): epsilon-greedy over decayed

@@ -36,10 +36,6 @@ void Tx::begin() {
   Desc.WriteCount = 0;
   Desc.LastAbort = AbortCause::None;
   Desc.WriteBloom.clear();
-  // The commit-locking policy is host state the adaptive controller moves
-  // at serial points; sampling it must itself be serially ordered.
-  if (Rt.Config.AdaptiveLocking)
-    Ctx.hostSerialPoint();
   Desc.TxLocking = Rt.CurrentLocking;
   if (Rt.Config.AdaptiveLocking)
     Desc.Locks.setMode(Desc.TxLocking == CommitLocking::Sorted
@@ -77,7 +73,7 @@ Word Tx::read(Addr A) {
   }
   MemClassScope San(Ctx, MemClass::Meta);
   assert(Desc.Valid && "reading in an aborted transaction");
-  ++Desc.Stats.TxReads;
+  ++Rt.Counters.TxReads;
 
   // Line 22: return the speculative value if we wrote this address.
   if (Desc.WriteBloom.mayContain(A)) {
@@ -133,7 +129,7 @@ Word Tx::read(Addr A) {
       if (!Pass) {
         Desc.Valid = false;
         Desc.LastAbort = AbortCause::ReadValidationFail;
-        ++Desc.Stats.AbortsReadValidation;
+        ++Rt.Counters.AbortsReadValidation;
       }
       if (GPUSTM_UNLIKELY(Rt.tracing()))
         Rt.emitEvent(Ctx, TxEventKind::ReadValidation, AbortCause::None, A, S,
@@ -158,22 +154,22 @@ Word Tx::read(Addr A) {
 
   Word Version = lockVersion(VL); // line 30
   if (Version > Desc.Snapshot) {  // line 31
-    ++Desc.Stats.StaleSnapshots;
+    ++Rt.Counters.StaleSnapshots;
     if (Rt.Val == Validation::HV) {
       if (!postValidation(Version)) { // line 32
         Desc.Valid = false;           // line 33
         Desc.LastAbort = AbortCause::ReadValidationFail;
-        ++Desc.Stats.AbortsReadValidation;
+        ++Rt.Counters.AbortsReadValidation;
       } else {
         // The timestamp said "conflict" but the values say otherwise: a
         // false conflict avoided -- the benefit of hierarchical validation.
-        ++Desc.Stats.FalseConflictsAvoided;
+        ++Rt.Counters.FalseConflictsAvoided;
       }
     } else if (!Rt.Config.Faults.IgnoreStaleSnapshot) {
       // Pure TBV (TL2-style): a stale snapshot is fatal.
       Desc.Valid = false;
       Desc.LastAbort = AbortCause::ReadStaleSnapshot;
-      ++Desc.Stats.AbortsReadValidation;
+      ++Rt.Counters.AbortsReadValidation;
     }
     if (GPUSTM_UNLIKELY(Rt.tracing()))
       Rt.emitEvent(Ctx, TxEventKind::ReadValidation, AbortCause::None, A,
@@ -201,7 +197,7 @@ void Tx::write(Addr A, Word V) {
   }
   MemClassScope San(Ctx, MemClass::Meta);
   assert(Desc.Valid && "writing in an aborted transaction");
-  ++Desc.Stats.TxWrites;
+  ++Rt.Counters.TxWrites;
   if (GPUSTM_UNLIKELY(Rt.tracing()))
     Rt.emitEvent(Ctx, TxEventKind::Write, AbortCause::None, A, V, 0);
   Ctx.setPhase(Phase::Buffering);
@@ -283,7 +279,7 @@ bool Tx::postValidation(Word Version) {
 
 bool Tx::vbv() {
   MemClassScope San(Ctx, MemClass::Meta);
-  ++Desc.Stats.VbvRuns;
+  ++Rt.Counters.VbvRuns;
   for (unsigned I = 0; I < Desc.ReadCount; ++I) { // lines 62-66
     if (I + 1 < Desc.ReadCount) { // Host prefetch hints (free, no yield).
       Ctx.prefetchMem(readAddrSlot(I + 1));
@@ -328,7 +324,7 @@ bool Tx::getLocksAndTBV(Word *FailedLock) {
       });
   if (Failed) {
     releaseLocks(Acquired); // line 47
-    ++Desc.Stats.LockFailures;
+    ++Rt.Counters.LockFailures;
     if (GPUSTM_UNLIKELY(Rt.tracing()))
       Rt.emitEvent(Ctx, TxEventKind::LockFail, AbortCause::None, FailedIdx, 0,
                    Acquired);
@@ -376,7 +372,7 @@ bool Tx::validateAndWriteBack() {
       Ctx.setPhase(Phase::Locking);
       releaseLocks(Desc.Locks.size()); // line 77
       Desc.LastAbort = AbortCause::CommitValidationFail;
-      ++Desc.Stats.AbortsCommitValidation;
+      ++Rt.Counters.AbortsCommitValidation;
       return false; // line 78
     }
   }
@@ -415,7 +411,7 @@ bool Tx::commitSorted() {
       Ctx.setPhase(Phase::Commit);
       if (!vbv()) { // lines 71-72 (optional, reduces lock contention)
         Desc.LastAbort = AbortCause::CommitValidationFail;
-        ++Desc.Stats.AbortsCommitValidation;
+        ++Rt.Counters.AbortsCommitValidation;
         return false;
       }
     }
@@ -443,7 +439,7 @@ bool Tx::commitBackoff() {
     Ctx.setPhase(Phase::Commit);
     if (!vbv()) { // Same optional line-71 filter commitSorted applies.
       Desc.LastAbort = AbortCause::CommitValidationFail;
-      ++Desc.Stats.AbortsCommitValidation;
+      ++Rt.Counters.AbortsCommitValidation;
       return false;
     }
   }
@@ -511,13 +507,10 @@ void Tx::handleLogOverflow(const char *Set, const char *CapName,
   if (!Consistent) {
     Desc.Valid = false;
     Desc.LastAbort = AbortCause::ReadValidationFail;
-    ++Desc.Stats.AbortsReadValidation;
+    ++Rt.Counters.AbortsReadValidation;
     return;
   }
   // A consistent attempt genuinely exceeded the configured log: fatal.
-  // Serialize first so a misspeculated parallel round (which may have seen
-  // phantom values) is discarded and replayed before we kill the process.
-  Ctx.hostSerialPoint();
   reportFatalError(formatString(
       "GPU-STM %s-set overflow: workload '%s', global thread %u, variant "
       "%s: transaction exceeded %s=%u entries; raise it in StmConfig",
@@ -527,7 +520,7 @@ void Tx::handleLogOverflow(const char *Set, const char *CapName,
 
 bool Tx::norecPostValidate() {
   MemClassScope San(Ctx, MemClass::Meta);
-  ++Desc.Stats.VbvRuns;
+  ++Rt.Counters.VbvRuns;
   for (;;) {
     Word T = Ctx.load(Rt.SeqLockAddr);
     if (T & 1) {
@@ -576,14 +569,14 @@ bool Tx::norecCommit() {
   // transaction committed, so revalidate by value (NOrec).
   while (Ctx.atomicCAS(Rt.SeqLockAddr, Desc.Snapshot, Desc.Snapshot + 1) !=
          Desc.Snapshot) {
-    ++Desc.Stats.LockFailures;
+    ++Rt.Counters.LockFailures;
     if (GPUSTM_UNLIKELY(Rt.tracing()))
       Rt.emitEvent(Ctx, TxEventKind::LockFail, AbortCause::None,
                    simt::InvalidAddr, 0, 0);
     Ctx.setPhase(Phase::Consistency);
     if (!norecPostValidate()) {
       Desc.LastAbort = AbortCause::CommitValidationFail;
-      ++Desc.Stats.AbortsCommitValidation;
+      ++Rt.Counters.AbortsCommitValidation;
       return false;
     }
     Ctx.setPhase(Phase::Locking);
@@ -621,7 +614,7 @@ bool Tx::commit() {
   assert(Desc.Valid && "committing an aborted transaction");
   // Line 68: a read-only transaction linearizes at its last read.
   if (Desc.WriteCount == 0) {
-    ++Desc.Stats.ReadOnlyCommits;
+    ++Rt.Counters.ReadOnlyCommits;
     Ctx.setPhase(Phase::Native);
     return true;
   }

@@ -24,18 +24,6 @@ unsigned gpustm::hostJobs() {
   return Jobs;
 }
 
-unsigned gpustm::deviceJobs() {
-  static const unsigned Jobs = [] {
-    uint64_t V = envUnsigned("GPUSTM_DEVICE_JOBS", 1);
-    if (V < 1)
-      V = 1;
-    if (V > 256)
-      V = 256;
-    return static_cast<unsigned>(V);
-  }();
-  return Jobs;
-}
-
 void gpustm::parallelForIndexed(size_t N, unsigned Jobs,
                                 const std::function<void(size_t)> &Fn) {
   if (N == 0)

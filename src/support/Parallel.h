@@ -9,10 +9,9 @@
 /// item must be independent (its own Device, StmRuntime, Workload); items
 /// are claimed from a shared atomic cursor and their results are stored by
 /// index, so the result vector is identical to a serial run regardless of
-/// the thread count or interleaving.  Parallelism *between* simulations is
-/// controlled by GPUSTM_JOBS; speculative parallelism *inside* one device
-/// (simt/Device.cpp) is controlled by GPUSTM_DEVICE_JOBS -- both are read
-/// here, once per process, with the same clamping rules.
+/// the thread count or interleaving.  Parallelism lives *between*
+/// simulations (each device's round loop runs on one thread); GPUSTM_JOBS,
+/// read here once per process, sets the worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +27,6 @@ namespace gpustm {
 /// Host worker count from GPUSTM_JOBS, clamped to [1, 256].  0 (or unset)
 /// means 1: serial execution on the calling thread.
 unsigned hostJobs();
-
-/// Per-device speculative worker count from GPUSTM_DEVICE_JOBS, clamped to
-/// [1, 256].  0 (or unset) means 1: the classic serial round loop.  Values
-/// above 1 enable speculative parallel warp-round execution inside each
-/// Device::launch (bit-identical results; see DESIGN.md section 9).
-unsigned deviceJobs();
 
 /// Run `Fn(0) .. Fn(N-1)`, each exactly once, on up to \p Jobs host
 /// threads (the calling thread included).  Blocks until every index has

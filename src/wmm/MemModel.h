@@ -185,8 +185,8 @@ private:
 
 /// The weak-memory model.  One instance is attached to a Device
 /// (`setWmmModel`); `beginLaunch` resets all state so repeated launches
-/// replay identically.  All hooks are serial-mode only (the Device forces
-/// GPUSTM_DEVICE_JOBS=1 while a model is attached).
+/// replay identically.  All hooks run on the device's round-loop thread, in
+/// round issue order.
 class MemModel {
 public:
   MemModel() : MemModel(WmmConfig()) {}

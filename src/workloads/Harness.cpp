@@ -168,7 +168,7 @@ static void checkRunShape(const Workload &W, const HarnessConfig &Shape,
       A.MaxWarpsPerSM == B.MaxWarpsPerSM &&
       A.MaxThreadsPerSM == B.MaxThreadsPerSM &&
       A.StackBytes == B.StackBytes && A.WatchdogRounds == B.WatchdogRounds &&
-      A.DeviceJobs == B.DeviceJobs && A.SchedFuzzSeed == B.SchedFuzzSeed;
+      A.SchedFuzzSeed == B.SchedFuzzSeed;
   if (!SameLaunches || !SameDevice || Shape.NumLocks != Config.NumLocks)
     reportFatalError(formatString(
         "ExecutionContext: run config for %s changes the context shape "
@@ -310,7 +310,6 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
 
     Result.KernelCycles.push_back(R.ElapsedCycles);
     Result.TotalCycles += R.ElapsedCycles;
-    Result.HostReplays += R.Replays;
     Result.Sim.merge(R.Stats);
     Result.KernelSim.push_back(R.Stats);
     if (!R.Completed) {

@@ -100,10 +100,6 @@ struct HarnessResult {
   uint64_t WallNanos = 0;
   /// Unique simtsan findings over the run (0 when no detector attached).
   uint64_t SanReports = 0;
-  /// Speculative warp rounds discarded and re-executed over all kernels
-  /// (0 in serial mode).  A host-throughput diagnostic like WallNanos:
-  /// timing-dependent, so it is excluded from the deterministic StatsSet.
-  uint64_t HostReplays = 0;
 
   /// Abort rate: aborts / (commits + aborts).
   double abortRate() const {
@@ -122,14 +118,6 @@ struct HarnessResult {
     return WallNanos == 0 ? 0.0
                           : static_cast<double>(Rounds) * 1e9 /
                                 static_cast<double>(WallNanos);
-  }
-  /// Fraction of executed warp rounds that were speculative replays
-  /// (host-throughput diagnostic; 0 in serial mode).
-  double replayRate() const {
-    uint64_t Rounds = Sim.get("simt.rounds");
-    return Rounds == 0 ? 0.0
-                       : static_cast<double>(HostReplays) /
-                             static_cast<double>(Rounds);
   }
   /// Average lane fiber switches per warp round (engine work factor).
   double switchesPerRound() const {
@@ -214,8 +202,8 @@ uint64_t cglBaselineCycles(ExecutionContext &Ctx, const HarnessConfig &Config);
 /// FNV-1a digest of every deterministic field of \p R: completion/verify
 /// flags, modeled cycles (total and per kernel), STM counters, and the
 /// merged + per-kernel simulator stats.  Host-throughput diagnostics
-/// (WallNanos, HostReplays, SanReports) are excluded, so the digest of a
-/// warm or speculative run equals the digest of a serial one-shot run.
+/// (WallNanos, SanReports) are excluded, so the digest of a warm run
+/// equals the digest of a one-shot run.
 /// The serve layer keys its result cache and its replay-vs-oneshot
 /// comparisons on this.
 uint64_t resultDigest(const HarnessResult &R);

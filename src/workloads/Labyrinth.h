@@ -76,8 +76,8 @@ private:
   Params P;
   std::vector<Net> Nets;
   /// Per-net claim lists (both bends, address-sorted), precomputed by
-  /// setup(): device code must not allocate (a doomed speculative round
-  /// rewinds lane stacks without running destructors, see Fiber.h).
+  /// setup(): device code must not allocate (the watchdog discards
+  /// suspended fibers without unwinding them, see Fiber.h).
   std::vector<std::vector<unsigned>> SortedPaths[2];
   simt::Addr CellsBase = simt::InvalidAddr;
   simt::Addr StatusBase = simt::InvalidAddr; ///< 0 = failed, 1 = x-first, 2 = y-first.

@@ -3,6 +3,8 @@
 # files are identical once the host-throughput fields are stripped: the
 # detector observes the simulation but must never perturb a modeled number.
 # The detector-on run must also leave behind a parseable simtsan report.
+# It records a trace as well (GPUSTM_TRACE), so simtsan and a trace recorder
+# share every run, and the trace file must be written.
 #
 # Usage:
 #   cmake -DBENCH=<binary> -DJSON_NAME=<BENCH_x.json> -DWORKDIR=<dir>
@@ -19,8 +21,6 @@ function(read_stripped INFILE OUTVAR)
   string(REGEX REPLACE ",\"wall_ms\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"rounds_per_sec\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"switches_per_round\":[^,}]+" "" J "${J}")
-  string(REGEX REPLACE ",\"replays\":[^,}]+" "" J "${J}")
-  string(REGEX REPLACE ",\"replay_rate\":[^,}]+" "" J "${J}")
   set(${OUTVAR} "${J}" PARENT_SCOPE)
 endfunction()
 
@@ -28,7 +28,8 @@ foreach(SAN off on)
   set(DIR "${WORKDIR}/san_${SAN}")
   file(MAKE_DIRECTORY "${DIR}")
   if(SAN STREQUAL "on")
-    set(SAN_ENV "GPUSTM_SAN=1" "GPUSTM_SAN_REPORT=${DIR}/simtsan_report.json")
+    set(SAN_ENV "GPUSTM_SAN=1" "GPUSTM_SAN_REPORT=${DIR}/simtsan_report.json"
+        "GPUSTM_TRACE=${DIR}/run.trace")
   else()
     # GPUSTM_SAN deliberately unset: this is the default user path.
     set(SAN_ENV "GPUSTM_SAN_REPORT=")
@@ -72,5 +73,14 @@ if(NOT REPORT MATCHES "\"tool\":\"simtsan\",\"findings\":0,")
     "simtsan reported findings on a clean sweep: ${REPORT}")
 endif()
 
+# The trace recorder ran beside the detector and must have written its
+# trace.  The traces run to hundreds of MB, so drop them once checked.
+if(NOT EXISTS "${WORKDIR}/san_on/run.trace")
+  message(FATAL_ERROR "GPUSTM_SAN=1 GPUSTM_TRACE run left no trace behind")
+endif()
+file(GLOB TRACES "${WORKDIR}/san_on/run.trace*")
+file(REMOVE ${TRACES})
+
 message(STATUS
-  "GPUSTM_SAN=1 is invisible in stdout and ${JSON_NAME}; clean report")
+  "GPUSTM_SAN=1 with GPUSTM_TRACE is invisible in stdout and ${JSON_NAME}; "
+  "clean report, trace written")

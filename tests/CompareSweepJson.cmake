@@ -14,13 +14,10 @@ endif()
 function(read_stripped INFILE OUTVAR)
   file(READ "${INFILE}" J)
   string(REGEX REPLACE "\"jobs\":[0-9]+," "" J "${J}")
-  string(REGEX REPLACE "\"device_jobs\":[0-9]+," "" J "${J}")
   string(REGEX REPLACE "\"wall_ms_total\":[0-9.eE+-]+," "" J "${J}")
   string(REGEX REPLACE ",\"wall_ms\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"rounds_per_sec\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"switches_per_round\":[^,}]+" "" J "${J}")
-  string(REGEX REPLACE ",\"replays\":[^,}]+" "" J "${J}")
-  string(REGEX REPLACE ",\"replay_rate\":[^,}]+" "" J "${J}")
   set(${OUTVAR} "${J}" PARENT_SCOPE)
 endfunction()
 

@@ -73,11 +73,10 @@ TEST(FuzzCorpusTest, FirstSeedsPassAllVariantsAndChecks) {
   }
 }
 
-TEST(FuzzCorpusTest, SameSeedIsBitIdenticalAndJobsInvariant) {
+TEST(FuzzCorpusTest, SameSeedIsBitIdentical) {
   FuzzOptions O;
   O.TraceSamplePeriod = 0;
   O.CheckDeterminism = true;
-  O.CheckJobsInvariance = true;
   for (uint64_t Seed : {3ull, 7ull, 11ull}) {
     SeedResult R = runSeed(Seed, O);
     EXPECT_TRUE(R.Passed) << R.failureSummary();

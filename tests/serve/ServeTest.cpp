@@ -7,8 +7,8 @@
 //   * A recycled ExecutionContext produces results bit-identical (by
 //     resultDigest, which covers every deterministic field) to fresh
 //     one-shot runWorkload() calls -- across all seven variants, three
-//     workloads, GPUSTM_DEVICE_JOBS=4, trace recording, and the multi-
-//     kernel reset (GN).
+//     workloads, trace recording, a weak-memory run after a traced one,
+//     and the multi-kernel reset (GN).
 //   * StmServer returns one-shot-identical results in submit order, with
 //     or without the result cache, and its request scripts and stream
 //     generator are deterministic and strictly parsed.
@@ -17,6 +17,7 @@
 
 #include "serve/Server.h"
 #include "simt/Memory.h"
+#include "wmm/MemModel.h"
 #include "workloads/All.h"
 #include "workloads/Genome.h"
 #include "workloads/HashTable.h"
@@ -176,27 +177,6 @@ TEST(WarmIdentityMultiKernelTest, GenomeResetMatchesOneShot) {
   }
 }
 
-/// Speculative host execution (GPUSTM_DEVICE_JOBS=4) on a warmed context
-/// must still match the serial one-shot digest.
-TEST(WarmIdentityDeviceJobsTest, WarmRunsMatchOneShotAtDeviceJobs4) {
-  auto Warm = smallWorkload("HT");
-  HarnessConfig Cold = smallConfig(stm::Variant::HVSorting);
-  Cold.DeviceCfg.DeviceJobs = 4;
-  ExecutionContext Ctx(*Warm, Cold);
-  for (stm::Variant V : {stm::Variant::HVSorting, stm::Variant::Optimized}) {
-    HarnessConfig HC = smallConfig(V);
-    HC.DeviceCfg.DeviceJobs = 4;
-    HarnessResult WarmR = Ctx.run(HC);
-    ASSERT_TRUE(WarmR.Completed) << WarmR.Error;
-    // The one-shot reference runs serial: digests exclude host-throughput
-    // fields, so speculative warm == serial fresh.
-    auto Fresh = smallWorkload("HT");
-    EXPECT_EQ(resultDigest(WarmR),
-              resultDigest(runWorkload(*Fresh, smallConfig(V))))
-        << stm::variantName(V);
-  }
-}
-
 /// Trace recording on a recycled context: the observer attaches per run,
 /// detaches afterwards, and neither changes modeled results.
 TEST(WarmIdentityObserverTest, TraceRecordingOnWarmContextIsIdentical) {
@@ -214,6 +194,35 @@ TEST(WarmIdentityObserverTest, TraceRecordingOnWarmContextIsIdentical) {
   std::remove("serve_warm_trace.bin");
   std::remove("serve_warm_trace.bin.1");
   std::remove("serve_warm_trace.bin.2");
+}
+
+/// A traced run's transaction observer detaches with its recorder: a
+/// weak-memory run that follows on the same warm context relaxes memory
+/// exactly as a one-shot run with an identically seeded model does.
+TEST(WarmIdentityObserverTest, WmmRunAfterTracedRunMatchesOneShot) {
+  auto Warm = smallWorkload("RA");
+  HarnessConfig Plain = smallConfig(stm::Variant::HVSorting);
+  ExecutionContext Ctx(*Warm, Plain);
+  HarnessConfig Traced = Plain;
+  Traced.TracePath = "serve_warm_wmm_trace.bin";
+  ASSERT_TRUE(Ctx.run(Traced).Completed);
+  std::remove("serve_warm_wmm_trace.bin");
+
+  wmm::WmmConfig WC;
+  WC.Seed = 7;
+  wmm::MemModel WarmModel(WC);
+  HarnessConfig Relaxed = Plain;
+  Relaxed.Wmm = &WarmModel;
+  HarnessResult WarmR = Ctx.run(Relaxed);
+  ASSERT_TRUE(WarmR.Completed) << WarmR.Error;
+  EXPECT_GT(WarmR.Sim.get("wmm.drains"), 0u)
+      << "weak-memory mode stayed off after the traced run";
+
+  wmm::MemModel OneShotModel(WC);
+  Relaxed.Wmm = &OneShotModel;
+  auto Fresh = smallWorkload("RA");
+  EXPECT_EQ(resultDigest(WarmR), resultDigest(runWorkload(*Fresh, Relaxed)))
+      << "warm weak-memory run diverged from one-shot";
 }
 
 /// A workload that declines reset(): the context must fall back to a full

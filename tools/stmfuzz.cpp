@@ -36,9 +36,9 @@ int usage(const char *Argv0) {
       "usage: %s <command> ...\n"
       "\n"
       "  run  [--seeds N] [--start S] [-v <variant>]... [--trace-sample N]\n"
-      "       [--jobs N] [--device-jobs N] [--watchdog N] [--digest-out F]\n"
+      "       [--jobs N] [--watchdog N] [--digest-out F]\n"
       "       [--repro-out F] [--no-shrink] [--max-failures N]\n"
-      "       [--check-determinism] [--check-jobs]\n"
+      "       [--check-determinism]\n"
       "       [--wmm] [--wmm-seed N] [--wmm-buffer N]\n"
       "      Fuzz seeds S..S+N-1 (default 0..499) under every requested\n"
       "      variant (default: all seven), checking each run against the\n"
@@ -46,7 +46,7 @@ int usage(const char *Argv0) {
       "      seed.  On failure, greedily shrinks the first failing seed and\n"
       "      prints a standalone regression test.  --digest-out writes one\n"
       "      'seed digest' line per seed for cross-process determinism\n"
-      "      diffs (e.g. GPUSTM_DEVICE_JOBS=1 vs =4 in CI).  --wmm runs\n"
+      "      diffs (e.g. --jobs 1 vs --jobs 4 in CI).  --wmm runs\n"
       "      every variant under the weak-memory model (src/wmm/); on\n"
       "      failure the minimal reordering witness is printed.\n"
       "  one <seed> [run options]\n"
@@ -148,11 +148,6 @@ int parseRunFlag(Args &A, const std::string &Arg, RunOptions &R) {
     if (!A.value("--jobs", Val))
       return 2;
     R.Jobs = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
-  } else if (Arg == "--device-jobs") {
-    if (!A.value("--device-jobs", Val))
-      return 2;
-    R.Fuzz.DeviceJobs =
-        static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
   } else if (Arg == "--watchdog") {
     if (!A.value("--watchdog", Val))
       return 2;
@@ -174,8 +169,6 @@ int parseRunFlag(Args &A, const std::string &Arg, RunOptions &R) {
         static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
   } else if (Arg == "--check-determinism") {
     R.Fuzz.CheckDeterminism = true;
-  } else if (Arg == "--check-jobs") {
-    R.Fuzz.CheckJobsInvariance = true;
   } else if (Arg == "--wmm") {
     R.Fuzz.Wmm = true;
   } else if (Arg == "--wmm-seed") {
