@@ -3,12 +3,11 @@
 // Part of the GPU-STM reproduction (CGO 2014).
 //
 // Measures what attaching the simtsan detector (src/analysis/) costs in
-// host wall time: each scenario simulates once with no detector and once
-// with one attached, on the same workload and configuration.  Modeled
-// numbers must be bit-identical between the two runs (asserted here and by
-// tests/analysis); only wall time may move.  The detector-off runs also
-// quantify the cost of the compiled-in-but-unattached hooks against a
-// -DGPUSTM_NO_SAN build (compare BENCH_simspeed.json across builds).
+// host wall time: each scenario simulates once with no observer and once
+// with the detector attached, on the same workload and configuration.  The
+// detector-on side pays for every observer event: accesses, lane ops and
+// transaction events.  Modeled numbers must be bit-identical between the
+// two runs (asserted here and by tests/analysis); only wall time may move.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,14 +22,6 @@ int main() {
   unsigned Scale = benchScale();
   printBanner("simtsan overhead: detector-on vs detector-off wall time",
               "host-side baseline (no paper artifact)");
-#if !GPUSTM_SAN_ENABLED
-  (void)Scale;
-  std::printf("simtsan hooks are compiled out (GPUSTM_NO_SAN); nothing to "
-              "measure.\n");
-  BenchJson Json("san_overhead");
-  return 0;
-#else
-
   struct Scenario {
     const char *Workload;
     stm::Variant Kind;
@@ -107,5 +98,4 @@ int main() {
     return 1;
   }
   return 0;
-#endif
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Simtsan.h"
+#include "stm/TxEvents.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -200,19 +201,24 @@ void Simtsan::onStmRegister(const SanStmLayout &L) {
   HasLayout = L.LockTabBase != simt::InvalidAddr && L.NumLocks > 0;
 }
 
-void Simtsan::onTxEnd(unsigned ThreadId, bool Committed, uint64_t Cycle) {
+void Simtsan::onTxEvent(const stm::TxEvent &E) {
+  // An attempt ends with its Commit or Abort event: no version lock may
+  // remain held by its thread then.
+  bool Committed = E.Kind == stm::TxEventKind::Commit;
+  if (!Committed && E.Kind != stm::TxEventKind::Abort)
+    return;
   for (const auto &[LockAddr, LS] : Locks) {
-    if (!LS.Held || LS.Owner != ThreadId)
+    if (!LS.Held || LS.Owner != E.ThreadId)
       continue;
     SanReport R;
     R.Kind = ReportKind::LockLeak;
     R.Address = LockAddr;
-    R.Cycle = Cycle;
-    R.Thread = ThreadId;
+    R.Cycle = E.Cycle;
+    R.Thread = E.ThreadId;
     R.Message = formatString(
         "version lock word %u still held by thread %u at the end of a%s "
         "transaction attempt",
-        LockAddr, ThreadId, Committed ? " committed" : "n aborted");
+        LockAddr, E.ThreadId, Committed ? " committed" : "n aborted");
     report(ReportKind::LockLeak, LockAddr, R);
   }
 }

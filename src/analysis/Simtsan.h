@@ -6,7 +6,7 @@
 ///
 /// \file
 /// simtsan: an opt-in dynamic detector for simulated GPU memory, attached to
-/// the simulator through simt::SanHooks (see DESIGN.md §8).  It keeps
+/// the simulator as a simt::Observer (see DESIGN.md §8).  It keeps
 /// per-word shadow state over the touched part of the arena plus a
 /// warp-granularity happens-before model (FastTrack-style vector clocks over
 /// warp rounds) and reports, with full lane/warp/block/SM coordinates and
@@ -21,7 +21,8 @@
 ///   - STM metadata invariant violations on version locks and the NOrec
 ///     sequence lock (release by a non-owner, version regression, a
 ///     version-publishing release without a prior threadfence, locks still
-///     held at transaction or kernel end),
+///     held at the end of a transaction attempt -- read from the STM's
+///     Commit and Abort events -- or at kernel end),
 ///   - out-of-arena accesses (reported just before the simulator aborts).
 ///
 /// Observation is host-side only: attaching a detector never changes modeled
@@ -32,7 +33,7 @@
 #ifndef GPUSTM_ANALYSIS_SIMTSAN_H
 #define GPUSTM_ANALYSIS_SIMTSAN_H
 
-#include "simt/SanHooks.h"
+#include "simt/Observer.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -88,9 +89,9 @@ struct SimtsanOptions {
   bool PrintToStderr = true;
 };
 
-/// The detector (see file comment).  Attach with Device::setSanHooks; state
+/// The detector (see file comment).  Attach with Device::addObserver; state
 /// is reset at every kernel launch, reports accumulate across launches.
-class Simtsan final : public simt::SanHooks {
+class Simtsan final : public simt::Observer {
 public:
   explicit Simtsan(const SimtsanOptions &Opts = SimtsanOptions());
   ~Simtsan() override;
@@ -108,7 +109,7 @@ public:
   /// writeJson to \p Path; false on I/O failure.
   bool writeJsonFile(const std::string &Path) const;
 
-  // SanHooks interface.
+  // Observer interface.
   void onLaunch(unsigned GridDim, unsigned BlockDim,
                 unsigned WarpSize) override;
   void onLaunchEnd(bool Clean) override;
@@ -121,7 +122,7 @@ public:
   void onBarrierRelease(unsigned BlockIdx, bool ByLaneExit,
                         uint64_t Cycle) override;
   void onStmRegister(const simt::SanStmLayout &L) override;
-  void onTxEnd(unsigned ThreadId, bool Committed, uint64_t Cycle) override;
+  void onTxEvent(const stm::TxEvent &E) override;
   void onOutOfBounds(const simt::SanAccess &A) override;
 
 private:

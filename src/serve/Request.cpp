@@ -48,34 +48,6 @@ workloads::HarnessConfig gpustm::serve::requestConfig(const Request &R) {
   return HC;
 }
 
-bool gpustm::serve::parseVariantToken(const std::string &Token,
-                                      stm::Variant &Out) {
-  struct Alias {
-    const char *Name;
-    stm::Variant Kind;
-  };
-  static const Alias Aliases[] = {
-      {"cgl", stm::Variant::CGL},
-      {"vbv", stm::Variant::VBV},
-      {"tbv", stm::Variant::TBVSorting},
-      {"hv", stm::Variant::HVSorting},
-      {"backoff", stm::Variant::HVBackoff},
-      {"opt", stm::Variant::Optimized},
-      {"egpgv", stm::Variant::EGPGV},
-  };
-  for (const Alias &A : Aliases)
-    if (Token == A.Name) {
-      Out = A.Kind;
-      return true;
-    }
-  for (unsigned V = 0; V <= static_cast<unsigned>(stm::Variant::EGPGV); ++V)
-    if (Token == stm::variantName(static_cast<stm::Variant>(V))) {
-      Out = static_cast<stm::Variant>(V);
-      return true;
-    }
-  return false;
-}
-
 /// Strict unsigned parse for script fields (no signs, no trailing junk).
 static bool parseUnsignedField(const std::string &S, unsigned &Out) {
   if (S.empty() || S.size() > 9)
@@ -120,7 +92,7 @@ bool gpustm::serve::parseRequestScript(const std::string &Text,
                          WorkloadTok.c_str());
       return false;
     }
-    if (!parseVariantToken(VariantTok, R.Kind)) {
+    if (!stm::parseVariant(VariantTok, R.Kind)) {
       Err = formatString("line %u: unknown variant '%s'", LineNo,
                          VariantTok.c_str());
       return false;

@@ -54,11 +54,6 @@ std::string formatRequest(const Request &R);
 /// (Table 2) and the Figure 2 lock scaling for its scale.
 workloads::HarnessConfig requestConfig(const Request &R);
 
-/// Variant from a script token: the short aliases ("cgl", "vbv", "tbv",
-/// "hv", "backoff", "opt", "egpgv") or a full paper name
-/// ("STM-HV-Sorting").
-bool parseVariantToken(const std::string &Token, stm::Variant &Out);
-
 /// Parse a request script: one request per line as
 /// `<workload> <variant> [<scale>] [x<repeat>]`, '#' starts a comment,
 /// blank lines are skipped.  `x<repeat>` enqueues the request that many

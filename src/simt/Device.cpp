@@ -332,11 +332,10 @@ void Device::notifyWriteSlow(Addr A) {
     // entries), so this never re-enters the notify path.
     if (GPUSTM_UNLIKELY(ActiveWmm != nullptr))
       ActiveWmm->observeFresh(W->lane(E.LaneIdx).Ctx.globalThreadId(), A);
-#if GPUSTM_SAN_ENABLED
     // The waking store happens-before everything the woken lane does next.
-    if (GPUSTM_UNLIKELY(San != nullptr))
-      San->onWakeEdge(W->lane(E.LaneIdx).Ctx.warpGlobalId(), SanCurWarpGid);
-#endif
+    if (GPUSTM_UNLIKELY(observed()))
+      for (Observer *O : Observers)
+        O->onWakeEdge(W->lane(E.LaneIdx).Ctx.warpGlobalId(), ObservedWarpGid);
     // The waiter observes the store one memory round-trip after it issues.
     W->ReadyAt = std::max(
         W->ReadyAt, CurrentIssueCycle + Config.Timing.GlobalMemLatency);
@@ -353,11 +352,10 @@ void Device::noteBarrierArrival(BlockState &Block) {
   if (Block.BarrierArrived < Block.LiveLanes)
     return;
   Block.BarrierArrived = 0;
-#if GPUSTM_SAN_ENABLED
-  if (GPUSTM_UNLIKELY(San != nullptr))
-    San->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/false,
+  if (GPUSTM_UNLIKELY(observed()))
+    for (Observer *O : Observers)
+      O->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/false,
                           CurrentIssueCycle);
-#endif
   for (auto &W : Block.Warps)
     W->releaseBlockBarrier();
   // Barrier release: every participant drained on arrival, so moving every
@@ -378,11 +376,10 @@ void Device::noteLaneFinished(BlockState &Block) {
   // workloads never rely on this, but it avoids spurious deadlocks).
   if (Block.BarrierArrived >= Block.LiveLanes) {
     Block.BarrierArrived = 0;
-#if GPUSTM_SAN_ENABLED
-    if (GPUSTM_UNLIKELY(San != nullptr))
-      San->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/true,
+    if (GPUSTM_UNLIKELY(observed()))
+      for (Observer *O : Observers)
+        O->onBarrierRelease(Block.BlockIdx, /*ByLaneExit=*/true,
                             CurrentIssueCycle);
-#endif
     for (auto &W : Block.Warps)
       W->releaseBlockBarrier();
     if (GPUSTM_UNLIKELY(ActiveWmm != nullptr))
@@ -433,26 +430,23 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   std::fill(std::begin(PhaseTotals), std::end(PhaseTotals), 0);
   AbortedTotal = 0;
 
-#if GPUSTM_SAN_ENABLED
-  SanCurWarpGid = 0;
-  if (GPUSTM_UNLIKELY(San != nullptr))
-    San->onLaunch(Launch.GridDim, Launch.BlockDim, Config.WarpSize);
-#endif
+  ObservedWarpGid = 0;
+  if (GPUSTM_UNLIKELY(observed()))
+    for (Observer *O : Observers)
+      O->onLaunch(Launch.GridDim, Launch.BlockDim, Config.WarpSize);
 
   activatePendingBlocks();
 
-  // Weak-memory mode: active only when no SC-assuming observer watches the
-  // same launch (trace hooks, transaction event sinks and simtsan all
-  // replay/check values under sequential consistency, so they win and the
-  // model sits out).
+  // Weak-memory mode: an observer attached => the model sits out this
+  // launch (every observer replays or checks values under sequential
+  // consistency).
   ActiveWmm = Wmm;
-  if (ActiveWmm != nullptr &&
-      (static_cast<bool>(TraceHook) || TxObserved || sanHooks() != nullptr)) {
+  if (ActiveWmm != nullptr && observed()) {
     static std::atomic<bool> WarnedWmmConflict{false};
     if (!WarnedWmmConflict.exchange(true))
       std::fprintf(stderr,
                    "gpustm: warning: weak-memory mode (GPUSTM_WMM) disabled "
-                   "for launches with a trace/simtsan observer attached\n");
+                   "for launches with an observer attached\n");
     ActiveWmm = nullptr;
   }
   if (GPUSTM_UNLIKELY(ActiveWmm != nullptr))
@@ -498,10 +492,9 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
     ActiveWmm = nullptr;
   }
 
-#if GPUSTM_SAN_ENABLED
-  if (GPUSTM_UNLIKELY(San != nullptr))
-    San->onLaunchEnd(Result.Completed);
-#endif
+  if (GPUSTM_UNLIKELY(observed()))
+    for (Observer *O : Observers)
+      O->onLaunchEnd(Result.Completed);
 
   CurrentKernel = nullptr;
   return Result;
@@ -541,12 +534,11 @@ void Device::runSerialLoop(LaunchResult &Result) {
     // candidate (but never mutates WarpList).
     unsigned IssuedIdx = Sm.CandIdx;
     CurrentIssueCycle = Issue;
-#if GPUSTM_SAN_ENABLED
-    if (GPUSTM_UNLIKELY(San != nullptr)) {
-      SanCurWarpGid = W->lane(0).Ctx.warpGlobalId();
-      San->onRoundBegin(SanCurWarpGid);
+    if (GPUSTM_UNLIKELY(observed())) {
+      ObservedWarpGid = W->lane(0).Ctx.warpGlobalId();
+      for (Observer *O : Observers)
+        O->onRoundBegin(ObservedWarpGid);
     }
-#endif
     RoundCost Cost = W->executeRound();
     Sm.Clock = Issue + Cost.SmOccupancy;
     W->ReadyAt = Issue + Cost.WarpLatency;

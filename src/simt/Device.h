@@ -29,7 +29,7 @@
 #define GPUSTM_SIMT_DEVICE_H
 
 #include "simt/Memory.h"
-#include "simt/SanHooks.h"
+#include "simt/Observer.h"
 #include "wmm/MemModel.h"
 #include "simt/Timing.h"
 #include "simt/Warp.h"
@@ -37,6 +37,7 @@
 #include "support/SmallVector.h"
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -101,22 +102,6 @@ struct LaunchResult {
 /// Kernel body type: one invocation per simulated thread.
 using KernelFn = std::function<void(ThreadCtx &)>;
 
-/// One traced lane operation (see Device::setTraceHook).
-struct TraceEvent {
-  uint64_t IssueCycle; ///< Issue time of the warp round.
-  unsigned BlockIdx;
-  unsigned WarpIdInBlock;
-  unsigned LaneIdx;
-  unsigned SmIdx; ///< SM the lane's block is resident on.
-  OpKind Kind;
-  Addr Address;   ///< InvalidAddr for non-memory ops.
-  Word Value = 0; ///< Memory content at Address after the op (0 otherwise).
-  Phase LanePhase;
-};
-
-/// Callback invoked once per traced lane operation.
-using TraceHookFn = std::function<void(const TraceEvent &)>;
-
 /// Per-block bookkeeping while a block is resident.
 struct BlockState {
   unsigned BlockIdx = 0;
@@ -161,37 +146,28 @@ public:
   /// the watchdog trips / a deadlock is detected).
   LaunchResult launch(const LaunchConfig &Launch, KernelFn Kernel);
 
-  /// Install (or clear, with nullptr) a per-operation trace hook: called
-  /// for every lane operation of every subsequent round, in issue order.
-  /// Tracing is for debugging and tests; it has no effect on timing.
-  void setTraceHook(TraceHookFn Hook) { TraceHook = std::move(Hook); }
-
-  /// Attach (or detach, with nullptr) a simtsan observer.  Observation is
-  /// host-side only: modeled cycles, counters, and results are bit-identical
-  /// with or without an observer.  Caller keeps ownership; the observer must
-  /// outlive the launches it watches.  No-op under GPUSTM_NO_SAN.
-  void setSanHooks(SanHooks *Hooks) {
-#if GPUSTM_SAN_ENABLED
-    San = Hooks;
-#else
-    (void)Hooks;
-#endif
+  /// Attach \p O to every subsequent launch (simt/Observer.h).  Observation
+  /// is host-side only: modeled cycles, counters, and results are
+  /// bit-identical with or without observers.  Caller keeps ownership; the
+  /// observer must stay alive until removeObserver.
+  void addObserver(Observer *O) { Observers.push_back(O); }
+  /// Detach \p O (a no-op when it is not attached).
+  void removeObserver(Observer *O) {
+    Observers.erase(std::remove(Observers.begin(), Observers.end(), O),
+                    Observers.end());
   }
-  /// The attached simtsan observer (null when none).
-  SanHooks *sanHooks() const {
-#if GPUSTM_SAN_ENABLED
-    return San;
-#else
-    return nullptr;
-#endif
-  }
+  /// True while an observer is attached: the guard of every event site.
+  bool observed() const { return !Observers.empty(); }
+  /// The attached observers, in attachment order (event sites deliver to
+  /// each in turn).
+  const std::vector<Observer *> &observers() const { return Observers; }
 
   /// Attach (or detach, with nullptr) a weak-memory model (src/wmm/).
   /// Caller keeps ownership; the model must outlive the launches it
   /// relaxes.  While attached, the model's reorderings change *values*
-  /// (that is the point); a simtsan observer, trace hook or transaction
-  /// observer (setTxObserved) on the same launch wins -- all assume SC
-  /// memory -- and disables the model with a one-line warning.
+  /// (that is the point), so it is the memory substrate, not an observer.
+  /// Every observer assumes SC memory: a launch with an observer attached
+  /// runs without the model (one-line warning per process).
   void setWmmModel(wmm::MemModel *M) { Wmm = M; }
   /// The attached weak-memory model (null when none).
   wmm::MemModel *wmmModel() const { return Wmm; }
@@ -200,12 +176,6 @@ public:
   /// Host-side controllers (e.g. the STM's adaptive transaction scheduler)
   /// use this to measure throughput in modeled cycles.
   uint64_t now() const { return CurrentIssueCycle; }
-
-  /// Mark (or unmark) this device's launches as observed by a transaction
-  /// event sink (StmRuntime::setEventSink keeps it in step with the sink).
-  /// Like a trace hook or simtsan, such an observer assumes SC memory, so
-  /// while set it disables an attached weak-memory model.
-  void setTxObserved(bool Observed) { TxObserved = Observed; }
 
   /// Host-side helpers (the CPU side of the CUDA API in Figure 1).
   Addr hostAlloc(size_t NumWords) { return Mem.allocate(NumWords); }
@@ -300,14 +270,11 @@ private:
 
   // Launch-scoped state.
   KernelFn CurrentKernel;
-  TraceHookFn TraceHook;
-#if GPUSTM_SAN_ENABLED
-  /// Attached simtsan observer (null when detached; see setSanHooks).
-  SanHooks *San = nullptr;
+  /// Attached observers (see addObserver).
+  std::vector<Observer *> Observers;
   /// Warp gid of the warp whose round is currently executing (wake-edge
-  /// attribution for onWakeEdge); only maintained while San is attached.
-  unsigned SanCurWarpGid = 0;
-#endif
+  /// attribution for onWakeEdge); only maintained while observed.
+  unsigned ObservedWarpGid = 0;
   LaunchConfig CurrentLaunch;
   std::vector<SmState> Sms;
   std::unordered_map<Addr, WatchBucket> Watchpoints;
@@ -316,8 +283,6 @@ private:
   unsigned NextPendingBlock = 0;
   unsigned LiveBlocks = 0;
   uint64_t RoundsExecuted = 0;
-  /// A transaction event sink is attached (see setTxObserved).
-  bool TxObserved = false;
   /// Attached weak-memory model (see setWmmModel) and the launch-scoped
   /// active pointer: non-null only while a launch is actually relaxing
   /// memory, so every hot-path hook is one pointer test when off.

@@ -22,32 +22,25 @@ unsigned ThreadCtx::smId() const {
   return ParentWarp->block().HomeSM;
 }
 
-// Per-access simtsan hook: fires after the memory effect and before
+// Per-access observer event: fires after the memory effect and before
 // notifyWrite, so a waking store's happens-before release is observed
-// before the wake edge it triggers.  Compiled out under GPUSTM_NO_SAN.
-#if GPUSTM_SAN_ENABLED
-#define GPUSTM_SAN_ACCESS(A, OPK)                                              \
+// before the wake edge it triggers.
+#define GPUSTM_REPORT_ACCESS(A, OPK)                                           \
   do {                                                                         \
-    if (GPUSTM_UNLIKELY(Dev->San != nullptr))                                  \
-      sanAccess((A), SanOp::OPK);                                              \
+    if (GPUSTM_UNLIKELY(Dev->observed()))                                      \
+      reportAccess((A), SanOp::OPK);                                           \
   } while (false)
-#else
-#define GPUSTM_SAN_ACCESS(A, OPK)                                              \
-  do {                                                                         \
-  } while (false)
-#endif
 
 // Arena bounds check (always on): an out-of-arena word access used to be
 // undefined behavior in release builds; now it is a diagnosable abort, with
-// a simtsan report first when a detector is attached.
-#define GPUSTM_SAN_BOUNDS(A, OPK)                                              \
+// an observer report (simtsan's, say) first.
+#define GPUSTM_CHECK_BOUNDS(A, OPK)                                            \
   do {                                                                         \
-    if (GPUSTM_UNLIKELY(static_cast<size_t>(A) >= Dev->memory().size()))      \
+    if (GPUSTM_UNLIKELY(static_cast<size_t>(A) >= Dev->memory().size()))       \
       outOfBoundsAccess((A), SanOp::OPK);                                      \
   } while (false)
 
-#if GPUSTM_SAN_ENABLED
-void ThreadCtx::sanAccess(Addr A, SanOp Op) {
+void ThreadCtx::reportAccess(Addr A, SanOp Op) {
   SanAccess E;
   E.Address = A;
   E.Value = Dev->memory().load(A);
@@ -59,29 +52,26 @@ void ThreadCtx::sanAccess(Addr A, SanOp Op) {
   E.Sm = smId();
   E.Op = Op;
   E.Class = memClass();
-  Dev->San->onAccess(E);
+  for (Observer *O : Dev->observers())
+    O->onAccess(E);
 }
-#endif // GPUSTM_SAN_ENABLED
 
 void ThreadCtx::outOfBoundsAccess(Addr A, SanOp Op) {
   const char *OpName = Op == SanOp::Load    ? "load"
                        : Op == SanOp::Store ? "store"
                                             : "atomic";
-#if GPUSTM_SAN_ENABLED
-  if (Dev->San != nullptr) {
-    SanAccess E;
-    E.Address = A;
-    E.Cycle = Dev->now();
-    E.WarpGid = warpGlobalId();
-    E.Block = BlockIdx;
-    E.Lane = LaneIdx;
-    E.ThreadId = globalThreadId();
-    E.Sm = smId();
-    E.Op = Op;
-    E.Class = memClass();
-    Dev->San->onOutOfBounds(E);
-  }
-#endif
+  SanAccess E;
+  E.Address = A;
+  E.Cycle = Dev->now();
+  E.WarpGid = warpGlobalId();
+  E.Block = BlockIdx;
+  E.Lane = LaneIdx;
+  E.ThreadId = globalThreadId();
+  E.Sm = smId();
+  E.Op = Op;
+  E.Class = memClass();
+  for (Observer *O : Dev->observers())
+    O->onOutOfBounds(E);
   reportFatalError(formatString(
       "out-of-bounds global %s of word %u (arena holds %zu words) by "
       "block %u warp %u lane %u (thread %u) on SM %u at cycle %llu",
@@ -100,16 +90,16 @@ Word ThreadCtx::yieldOp(const Op &O) {
 void ThreadCtx::prefetchMem(Addr A) const { Dev->memory().prefetch(A); }
 
 // The memory operations below act directly on the arena.  The weak-memory
-// model hooks (Dev->ActiveWmm) and the simtsan access hook never fire on
+// model hooks (Dev->ActiveWmm) and the observer access event never fire on
 // the same launch (an attached observer disables the model), and each
-// costs one predictable-null pointer test when off.
+// costs one predictable test when off.
 
 Word ThreadCtx::load(Addr A) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   wmm::MemModel *M = Dev->ActiveWmm;
   Word V = GPUSTM_UNLIKELY(M != nullptr) ? M->load(globalThreadId(), A)
                                          : Dev->memory().load(A);
-  GPUSTM_SAN_ACCESS(A, Load);
+  GPUSTM_REPORT_ACCESS(A, Load);
   ++Dev->Counters.Loads;
   Op O;
   O.Kind = OpKind::Load;
@@ -119,11 +109,11 @@ Word ThreadCtx::load(Addr A) {
 }
 
 Word ThreadCtx::loadFresh(Addr A) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   wmm::MemModel *M = Dev->ActiveWmm;
   Word V = GPUSTM_UNLIKELY(M != nullptr) ? M->loadFresh(globalThreadId(), A)
                                          : Dev->memory().load(A);
-  GPUSTM_SAN_ACCESS(A, Load);
+  GPUSTM_REPORT_ACCESS(A, Load);
   ++Dev->Counters.Loads;
   Op O;
   O.Kind = OpKind::Load;
@@ -133,7 +123,7 @@ Word ThreadCtx::loadFresh(Addr A) {
 }
 
 void ThreadCtx::store(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Store);
+  GPUSTM_CHECK_BOUNDS(A, Store);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr)) {
     // Buffered stores stay invisible (no memory write, no watcher wakeups)
@@ -144,7 +134,7 @@ void ThreadCtx::store(Addr A, Word V) {
     }
   } else {
     Dev->memory().store(A, V);
-    GPUSTM_SAN_ACCESS(A, Store);
+    GPUSTM_REPORT_ACCESS(A, Store);
     Dev->notifyWrite(A);
   }
   ++Dev->Counters.Stores;
@@ -155,12 +145,12 @@ void ThreadCtx::store(Addr A, Word V) {
 }
 
 Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
-  GPUSTM_SAN_BOUNDS(A, Atomic);
+  GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
   Word Old = Dev->memory().atomicCAS(A, Expected, Desired);
-  GPUSTM_SAN_ACCESS(A, Atomic);
+  GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->postAtomic(globalThreadId(), A);
@@ -173,12 +163,12 @@ Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
 }
 
 Word ThreadCtx::atomicAdd(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Atomic);
+  GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
   Word Old = Dev->memory().atomicAdd(A, V);
-  GPUSTM_SAN_ACCESS(A, Atomic);
+  GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->postAtomic(globalThreadId(), A);
@@ -191,12 +181,12 @@ Word ThreadCtx::atomicAdd(Addr A, Word V) {
 }
 
 Word ThreadCtx::atomicOr(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Atomic);
+  GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
   Word Old = Dev->memory().atomicOr(A, V);
-  GPUSTM_SAN_ACCESS(A, Atomic);
+  GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->postAtomic(globalThreadId(), A);
@@ -209,12 +199,12 @@ Word ThreadCtx::atomicOr(Addr A, Word V) {
 }
 
 Word ThreadCtx::atomicExch(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Atomic);
+  GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
   Word Old = Dev->memory().atomicExch(A, V);
-  GPUSTM_SAN_ACCESS(A, Atomic);
+  GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->postAtomic(globalThreadId(), A);
@@ -227,12 +217,12 @@ Word ThreadCtx::atomicExch(Addr A, Word V) {
 }
 
 Word ThreadCtx::atomicMin(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Atomic);
+  GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
   Word Old = Dev->memory().atomicMin(A, V);
-  GPUSTM_SAN_ACCESS(A, Atomic);
+  GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->postAtomic(globalThreadId(), A);
@@ -250,10 +240,9 @@ void ThreadCtx::threadfence() {
   if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
     M->fence(globalThreadId());
   ++Dev->Counters.Fences;
-#if GPUSTM_SAN_ENABLED
-  if (GPUSTM_UNLIKELY(Dev->San != nullptr))
-    Dev->San->onFence(globalThreadId());
-#endif
+  if (GPUSTM_UNLIKELY(Dev->observed()))
+    for (Observer *O : Dev->observers())
+      O->onFence(globalThreadId());
   Op O;
   O.Kind = OpKind::Fence;
   yieldOp(O);
@@ -267,7 +256,7 @@ void ThreadCtx::compute(uint32_t Cycles) {
 }
 
 void ThreadCtx::memWaitEquals(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
@@ -282,7 +271,7 @@ void ThreadCtx::memWaitEquals(Addr A, Word V) {
 }
 
 void ThreadCtx::memWaitBitClear(Addr A, Word Mask) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
@@ -297,7 +286,7 @@ void ThreadCtx::memWaitBitClear(Addr A, Word Mask) {
 }
 
 void ThreadCtx::memWaitNotEquals(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).
@@ -312,7 +301,7 @@ void ThreadCtx::memWaitNotEquals(Addr A, Word V) {
 }
 
 void ThreadCtx::memWaitGreaterEq(Addr A, Word V) {
-  GPUSTM_SAN_BOUNDS(A, Load);
+  GPUSTM_CHECK_BOUNDS(A, Load);
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
   // the address at "now" (spin loops never starve on a stale binding).

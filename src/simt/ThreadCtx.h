@@ -24,7 +24,7 @@
 
 #include "simt/Memory.h"
 #include "simt/Op.h"
-#include "simt/SanHooks.h"
+#include "simt/Observer.h"
 #include "support/Compiler.h"
 #include "support/FunctionRef.h"
 
@@ -169,31 +169,20 @@ public:
   void txMarkEnd(bool Committed);
 
   //===--------------------------------------------------------------------===//
-  // simtsan annotation (see simt/SanHooks.h)
+  // Access-class annotation (see simt/Observer.h)
   //===--------------------------------------------------------------------===//
 
-  /// Tag subsequent memory accesses with \p C for the detector; returns the
+  /// Tag subsequent memory accesses with \p C for observers; returns the
   /// previous class (restore it when the annotated region ends, or use
   /// MemClassScope).  A pure host-side tag: it never affects simulation
-  /// results, and compiles to nothing under GPUSTM_NO_SAN.
+  /// results.
   MemClass setMemClass(MemClass C) {
-#if GPUSTM_SAN_ENABLED
     MemClass Old = CurClass;
     CurClass = C;
     return Old;
-#else
-    (void)C;
-    return MemClass::Plain;
-#endif
   }
   /// Current access-class tag.
-  MemClass memClass() const {
-#if GPUSTM_SAN_ENABLED
-    return CurClass;
-#else
-    return MemClass::Plain;
-#endif
-  }
+  MemClass memClass() const { return CurClass; }
 
 private:
   friend class Warp;
@@ -204,11 +193,11 @@ private:
   /// (used by ballot).
   Word yieldOp(const Op &O);
 
-  /// Cold path of the per-access simtsan hook: build a SanAccess with full
-  /// coordinates and deliver it (callers guard on Dev->San).
-  GPUSTM_NOINLINE void sanAccess(Addr A, SanOp Op);
-  /// An access left the memory arena: report through simtsan when attached,
-  /// then abort with coordinates (never undefined behavior).
+  /// Cold path of the per-access event: build a SanAccess with full
+  /// coordinates and deliver it (callers guard on Dev->observed()).
+  GPUSTM_NOINLINE void reportAccess(Addr A, SanOp Op);
+  /// An access left the memory arena: report it to the observers, then
+  /// abort with coordinates (never undefined behavior).
   [[noreturn]] GPUSTM_NOINLINE void outOfBoundsAccess(Addr A, SanOp Op);
 
   Device *Dev = nullptr;
@@ -221,9 +210,7 @@ private:
   unsigned BlockDimV = 0;
   unsigned GridDimV = 0;
   unsigned WarpSizeV = 0;
-#if GPUSTM_SAN_ENABLED
   MemClass CurClass = MemClass::Plain;
-#endif
 };
 
 /// RAII access-class tag: annotates every access in scope with \p C and

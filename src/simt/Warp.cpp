@@ -36,7 +36,6 @@ Warp::Warp(Device &Dev, BlockState &Block, unsigned WarpIdInBlock,
   Lanes.resize(NumLanes);
   AllLanes = NumLanes == 64 ? ~uint64_t(0) : (uint64_t(1) << NumLanes) - 1;
   StateMask[static_cast<unsigned>(LaneState::Runnable)] = AllLanes;
-  (void)this->WarpIdInBlock;
 }
 
 void Warp::setState(unsigned I, LaneState S) {
@@ -105,12 +104,34 @@ void Warp::releaseBlockBarrier() {
               [&](unsigned I) { setState(I, LaneState::Runnable); });
 }
 
+void Warp::reportOp(unsigned I) {
+  const Lane &L = Lanes[I];
+  bool Finished = L.Fib.isFinished();
+  TraceEvent E;
+  E.IssueCycle = Dev.CurrentIssueCycle;
+  E.BlockIdx = Block->BlockIdx;
+  E.WarpIdInBlock = WarpIdInBlock;
+  E.LaneIdx = I;
+  E.SmIdx = Block->HomeSM;
+  E.Kind = Finished ? OpKind::None : L.PendingOp.Kind;
+  E.Address = Finished ? InvalidAddr : L.PendingOp.Address;
+  E.Value = E.Address != InvalidAddr ? Dev.Mem.load(E.Address) : 0;
+  E.LanePhase = L.CurPhase;
+  for (Observer *O : Dev.observers())
+    O->onOp(E);
+}
+
 void Warp::stepLane(unsigned I) {
   Lane &L = Lanes[I];
   assert(L.State == LaneState::Runnable && "stepping a non-runnable lane");
   // No need to clear PendingOp: every yield path rewrites it in full, and
-  // the finished-fiber path below returns before anyone reads it.
+  // a finished lane's stale PendingOp is never read (reportOp and
+  // costRound both check for the finish first).
   L.Fib.resume();
+  // Report before any later lane of the round runs, so the op's value is
+  // the one this lane's access left in memory.
+  if (GPUSTM_UNLIKELY(Dev.observed()))
+    reportOp(I);
   if (L.Fib.isFinished()) {
     setState(I, LaneState::Finished);
     ConvergencePending = true; // A finish can complete a convergence.
@@ -162,11 +183,10 @@ void Warp::stepLane(unsigned I) {
     setState(I, LaneState::AtLoopEnd);
     break;
   case OpKind::BlockBarrier:
-#if GPUSTM_SAN_ENABLED
     // Report the arrival with the warp's SIMT context mask: a barrier
     // reached while the context is narrower than the live-lane set is a
     // divergent (hazardous) barrier.
-    if (GPUSTM_UNLIKELY(Dev.San != nullptr)) {
+    if (GPUSTM_UNLIKELY(Dev.observed())) {
       SanBarrier B;
       B.Cycle = Dev.CurrentIssueCycle;
       B.WarpGid = L.Ctx.warpGlobalId();
@@ -176,19 +196,18 @@ void Warp::stepLane(unsigned I) {
       B.Sm = Block->HomeSM;
       B.ActiveMask = contextMask();
       B.ExpectedMask = liveMask(AllLanes);
-      Dev.San->onBarrierArrive(B);
+      for (Observer *O : Dev.observers())
+        O->onBarrierArrive(B);
     }
-#endif
     setState(I, LaneState::AtBlockBarrier);
     Dev.noteBarrierArrival(*Block);
     break;
   case OpKind::MemWait: {
-#if GPUSTM_SAN_ENABLED
     // Whether the lane parks or passes immediately, it observes the watched
     // word: an acquire of the last release to that address.
-    if (GPUSTM_UNLIKELY(Dev.San != nullptr))
-      Dev.San->onMemWait(L.Ctx.warpGlobalId(), L.PendingOp.Address);
-#endif
+    if (GPUSTM_UNLIKELY(Dev.observed()))
+      for (Observer *O : Dev.observers())
+        O->onMemWait(L.Ctx.warpGlobalId(), L.PendingOp.Address);
     // Park only when the condition does not already hold; the caller
     // re-checks after waking, so a spurious immediate pass is fine.
     Word Cur = Dev.memory().load(L.PendingOp.Address);
@@ -492,23 +511,6 @@ RoundCost Warp::executeRound() {
       }
     }
     stepLane(Idx[P]);
-  }
-
-  if (GPUSTM_UNLIKELY(static_cast<bool>(Dev.TraceHook))) {
-    forEachLane(Stepped, [&](unsigned I) {
-      const Lane &L = Lanes[I];
-      TraceEvent E;
-      E.IssueCycle = Dev.CurrentIssueCycle;
-      E.BlockIdx = Block->BlockIdx;
-      E.WarpIdInBlock = WarpIdInBlock;
-      E.LaneIdx = I;
-      E.SmIdx = Block->HomeSM;
-      E.Kind = L.State == LaneState::Finished ? OpKind::None : L.PendingOp.Kind;
-      E.Address = L.PendingOp.Address;
-      E.Value = E.Address != InvalidAddr ? Dev.Mem.load(E.Address) : 0;
-      E.LanePhase = L.CurPhase;
-      Dev.TraceHook(E);
-    });
   }
 
   RoundCost Cost = costRound(Stepped);

@@ -150,6 +150,9 @@ private:
 
   /// Step one lane: resume its fiber until it yields an op or finishes.
   void stepLane(unsigned I);
+  /// Cold path of stepLane while observed: deliver lane \p I's just-yielded
+  /// op (or its finish marker) to the device's observers.
+  GPUSTM_NOINLINE void reportOp(unsigned I);
   /// Try to resolve every pending convergence condition; may release lanes.
   void resolveConvergence();
   /// Compute the cost of the ops stepped this round.

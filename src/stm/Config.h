@@ -94,6 +94,21 @@ inline const char *variantName(Variant V) {
   return "invalid";
 }
 
+/// Variant from a command-line or script token: a short alias ("cgl",
+/// "vbv", "tbv", "hv", "backoff", "opt", "egpgv") or a paper name
+/// ("STM-HV-Sorting").  False when \p Name is neither.
+inline bool parseVariant(const std::string &Name, Variant &Out) {
+  // Indexed by Variant.
+  static const char *const Aliases[] = {"cgl",     "vbv", "tbv",  "hv",
+                                        "backoff", "opt", "egpgv"};
+  for (unsigned V = 0; V <= static_cast<unsigned>(Variant::EGPGV); ++V)
+    if (Name == Aliases[V] || Name == variantName(static_cast<Variant>(V))) {
+      Out = static_cast<Variant>(V);
+      return true;
+    }
+  return false;
+}
+
 /// Validation policy resolved from the variant (Section 3.1).
 enum class Validation : uint8_t {
   TBV, ///< Timestamp-based only: stale snapshot => abort.

@@ -89,25 +89,15 @@ StmRuntime::StmRuntime(simt::Device &Dev, const StmConfig &Config,
                       Sorted ? LockLog::Mode::Sorted : LockLog::Mode::Append);
   }
 
-#if GPUSTM_SAN_ENABLED
-  // Tell an attached simtsan detector where the version locks live so it
+  // Tell attached observers (simtsan) where the version locks live so they
   // can check the lock protocol (ownership, version monotonicity, fencing).
-  if (simt::SanHooks *San = Dev.sanHooks()) {
-    simt::SanStmLayout Layout;
-    Layout.LockTabBase = LockTabBase;
-    Layout.NumLocks = Config.NumLocks;
-    Layout.ClockAddr = ClockAddr;
-    Layout.SeqLockAddr = SeqLockAddr;
-    San->onStmRegister(Layout);
-  }
-#endif
-}
-
-StmRuntime::~StmRuntime() {
-  // A sink still attached (a run that never detached its recorder) must
-  // not leave the device marked observed for the runtimes that follow.
-  if (Sink != nullptr)
-    Dev.setTxObserved(false);
+  simt::SanStmLayout Layout;
+  Layout.LockTabBase = LockTabBase;
+  Layout.NumLocks = Config.NumLocks;
+  Layout.ClockAddr = ClockAddr;
+  Layout.SeqLockAddr = SeqLockAddr;
+  for (simt::Observer *O : Dev.observers())
+    O->onStmRegister(Layout);
 }
 
 void StmRuntime::emitEvent(const ThreadCtx &Ctx, TxEventKind K, AbortCause C,
@@ -123,7 +113,8 @@ void StmRuntime::emitEvent(const ThreadCtx &Ctx, TxEventKind K, AbortCause C,
   E.Address = A;
   E.Value = V;
   E.Aux = Aux;
-  Sink->onTxEvent(E);
+  for (simt::Observer *O : Dev.observers())
+    O->onTxEvent(E);
 }
 
 void StmRuntime::cglTransaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
@@ -170,10 +161,6 @@ void StmRuntime::cglTransaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
   if (GPUSTM_UNLIKELY(tracing()))
     emitEvent(Ctx, TxEventKind::Commit, AbortCause::None, simt::InvalidAddr, 0,
               D.LastCommitVersion);
-#if GPUSTM_SAN_ENABLED
-  if (simt::SanHooks *SanObs = Dev.sanHooks())
-    SanObs->onTxEnd(Ctx.globalThreadId(), /*Committed=*/true, Dev.now());
-#endif
   Ctx.setPhase(Phase::Native);
 }
 
@@ -281,10 +268,6 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
     Body(T);
     bool Committed = T.valid() && T.commit();
     Ctx.txMarkEnd(Committed);
-#if GPUSTM_SAN_ENABLED
-    if (simt::SanHooks *San = Dev.sanHooks())
-      San->onTxEnd(Ctx.globalThreadId(), Committed, Dev.now());
-#endif
     // The adaptive controllers (locking prober, scheduler hill-climber)
     // keep their windows only when the respective controller is on.
     if (Committed) {

@@ -93,7 +93,6 @@ public:
   /// \p MaxLaunch on \p Dev.
   StmRuntime(simt::Device &Dev, const StmConfig &Config,
              const simt::LaunchConfig &MaxLaunch);
-  ~StmRuntime();
   StmRuntime(const StmRuntime &) = delete;
   StmRuntime &operator=(const StmRuntime &) = delete;
 
@@ -133,17 +132,11 @@ public:
   /// AdaptiveLocking).
   CommitLocking currentLocking() const { return CurrentLocking; }
 
-  /// Install (or clear, with nullptr) a transaction-event sink.  Emission
-  /// is host-side only: no simulated device operation is issued for it, so
-  /// modeled cycles and counters are unchanged by tracing.  A sink assumes
-  /// SC memory, so the device is marked observed (an attached weak-memory
-  /// model sits out) exactly while a sink is installed.
-  void setEventSink(TxEventSink *S) {
-    Sink = S;
-    Dev.setTxObserved(S != nullptr);
-  }
-  /// True when a sink is installed (the emit points' cold-path guard).
-  bool tracing() const { return Sink != nullptr; }
+  /// True while the device has an observer attached (the emit points'
+  /// cold-path guard).  Transaction events go to the device's observers
+  /// (simt::Observer::onTxEvent); emission is host-side only, so modeled
+  /// cycles and counters are unchanged by it.
+  bool tracing() const { return Dev.observed(); }
 
 private:
   friend class Tx;
@@ -154,7 +147,7 @@ private:
 
   void cglTransaction(simt::ThreadCtx &Ctx, function_ref<void(Tx &)> Body);
 
-  /// Deliver one event to the sink (callers guard with tracing()).
+  /// Deliver one event to every observer (callers guard with tracing()).
   void emitEvent(const simt::ThreadCtx &Ctx, TxEventKind K, AbortCause C,
                  simt::Addr A, Word V, Word Aux);
 
@@ -191,7 +184,6 @@ private:
 
   std::vector<TxDesc> Descs;
   StmCounters Counters;
-  TxEventSink *Sink = nullptr;
 
   // Adaptive-locking state (host side): epsilon-greedy over decayed
   // per-policy throughput estimates, re-probing the loser periodically so

@@ -19,11 +19,11 @@ using namespace gpustm::stm;
 using simt::Addr;
 using simt::Phase;
 
-// simtsan access classes (simt/SanHooks.h): STM bookkeeping accesses (logs,
+// simtsan access classes (simt/Observer.h): STM bookkeeping accesses (logs,
 // lock words, clocks, tickets) are tagged Meta, accesses to program data
 // words on behalf of the transaction (line-24 reads, validation re-reads,
 // write-back stores, Direct-mode accesses) are tagged TxData.  Tags are
-// host-side only and compile out under GPUSTM_NO_SAN.
+// host-side only.
 using simt::MemClass;
 using simt::MemClassScope;
 

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transaction-event vocabulary emitted by the STM runtime when a
-/// TxEventSink is installed (see StmRuntime::setEventSink).  Events are
-/// pure host-side observations: emitting one performs no simulated device
-/// operation, so modeled cycle counts and StmCounters are bit-identical
-/// with and without a sink (the zero-overhead guarantee tested by
-/// tests/trace/).  The trace library (src/trace/) records these events,
-/// exports them (Perfetto JSON, compact binary) and replays them through
-/// the offline serializability/opacity checker.
+/// The transaction-event vocabulary the STM runtime delivers to the
+/// device's observers (simt::Observer::onTxEvent) while any is attached.
+/// Events are pure host-side observations: emitting one performs no
+/// simulated device operation, so modeled cycle counts and StmCounters are
+/// bit-identical with and without observers (the zero-overhead guarantee
+/// tested by tests/trace/).  The trace library (src/trace/) records these
+/// events, exports them (Perfetto JSON, compact binary) and replays them
+/// through the offline serializability/opacity checker; simtsan reads the
+/// Commit and Abort events for its end-of-attempt lock-leak check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,13 +99,6 @@ struct TxEvent {
   simt::Addr Address = simt::InvalidAddr;
   simt::Word Value = 0;
   simt::Word Aux = 0;
-};
-
-/// Receiver of emitted events (implemented by trace::TxTraceRecorder).
-class TxEventSink {
-public:
-  virtual ~TxEventSink() = default;
-  virtual void onTxEvent(const TxEvent &E) = 0;
 };
 
 } // namespace stm

@@ -11,10 +11,8 @@ using namespace gpustm::trace;
 
 TxTraceRecorder::~TxTraceRecorder() {
   // Detach defensively if finishRun was never reached (failed run).
-  if (AttachedStm)
-    AttachedStm->setEventSink(nullptr);
   if (AttachedDev)
-    AttachedDev->setTraceHook(nullptr);
+    AttachedDev->removeObserver(this);
 }
 
 void TxTraceRecorder::snapshot(const simt::Device &Dev, MemImage &Image) {
@@ -38,13 +36,8 @@ void TxTraceRecorder::beginRun(const std::string &WorkloadName,
   CurKernel = 0;
   snapshot(Dev, T.Initial);
 
-  AttachedStm = &Stm;
-  Stm.setEventSink(this);
-  if (Opts.RecordOps) {
-    AttachedDev = &Dev;
-    Dev.setTraceHook(
-        [this](const simt::TraceEvent &E) { T.Ops.push_back(E); });
-  }
+  AttachedDev = &Dev;
+  Dev.addObserver(this);
 }
 
 void TxTraceRecorder::noteKernelLaunch(unsigned K) {
@@ -56,10 +49,7 @@ void TxTraceRecorder::noteKernelLaunch(unsigned K) {
 
 void TxTraceRecorder::finishRun(simt::Device &Dev, stm::StmRuntime &Stm,
                                 uint64_t TotalCycles) {
-  Stm.setEventSink(nullptr);
-  if (AttachedDev)
-    AttachedDev->setTraceHook(nullptr);
-  AttachedStm = nullptr;
+  Dev.removeObserver(this);
   AttachedDev = nullptr;
   snapshot(Dev, T.Final);
   T.Meta.Counters = Stm.counters();
@@ -69,4 +59,9 @@ void TxTraceRecorder::finishRun(simt::Device &Dev, stm::StmRuntime &Stm,
 void TxTraceRecorder::onTxEvent(const stm::TxEvent &E) {
   T.Events.push_back(E);
   T.Events.back().Kernel = CurKernel;
+}
+
+void TxTraceRecorder::onOp(const simt::TraceEvent &E) {
+  if (Opts.RecordOps)
+    T.Ops.push_back(E);
 }

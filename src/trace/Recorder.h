@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// TxTraceRecorder subscribes to the STM runtime's transaction-event sink
-/// (and, optionally, to the simulator's per-operation trace hook) and
-/// buffers everything host-side into a TxTrace.  Recording never issues a
+/// TxTraceRecorder is a simt::Observer: it buffers the STM runtime's
+/// transaction events (and, optionally, the simulator's per-lane
+/// operations) host-side into a TxTrace.  Recording never issues a
 /// simulated device operation, so modeled cycles and StmCounters are
 /// bit-identical with and without a recorder attached.
 ///
@@ -27,7 +27,7 @@ namespace gpustm {
 namespace trace {
 
 /// Records one run into a TxTrace (see file comment).
-class TxTraceRecorder final : public stm::TxEventSink {
+class TxTraceRecorder final : public simt::Observer {
 public:
   struct Options {
     /// Also capture the simulator's per-lane operation stream (heavy;
@@ -39,8 +39,8 @@ public:
   explicit TxTraceRecorder(const Options &Opts) : Opts(Opts) {}
   ~TxTraceRecorder() override;
 
-  /// Attach to \p Stm (and \p Dev when recording ops) and snapshot the
-  /// initial memory image.  Call after workload setup, before any launch.
+  /// Attach to \p Dev and snapshot the initial memory image.  Call after
+  /// workload setup and \p Stm's construction, before any launch.
   void beginRun(const std::string &WorkloadName, simt::Device &Dev,
                 stm::StmRuntime &Stm, const simt::LaunchConfig &MaxLaunch);
 
@@ -55,6 +55,7 @@ public:
   TxTrace &trace() { return T; }
 
   void onTxEvent(const stm::TxEvent &E) override;
+  void onOp(const simt::TraceEvent &E) override;
 
 private:
   void snapshot(const simt::Device &Dev, MemImage &Image);
@@ -62,7 +63,6 @@ private:
   Options Opts;
   TxTrace T;
   simt::Device *AttachedDev = nullptr;
-  stm::StmRuntime *AttachedStm = nullptr;
   uint16_t CurKernel = 0;
 };
 

@@ -8,8 +8,8 @@
 /// The in-memory representation of one recorded run: metadata about the
 /// workload/variant, the initial and final global-memory images (the
 /// checker's replay endpoints), the transaction-event stream emitted by
-/// the STM runtime, and (optionally) the per-lane operation stream from
-/// the simulator's trace hook.  TxTraceRecorder fills it; TraceIO
+/// the STM runtime, and (optionally) the simulator's per-lane operation
+/// stream (simt::Observer::onOp).  TxTraceRecorder fills it; TraceIO
 /// serializes it; the checker, analysis, and Perfetto exporters consume it.
 ///
 //===----------------------------------------------------------------------===//

@@ -40,38 +40,20 @@ double HarnessResult::txTimeProportion() const {
   return Total == 0 ? 0.0 : static_cast<double>(Tx) / Total;
 }
 
-/// Where to write this run's trace when the harness owns the recorder:
-/// the configured path, else GPUSTM_TRACE.  Later runs in the same process
-/// get a ".N" suffix so sweeps do not clobber one another.
-static std::string resolveTracePath(const HarnessConfig &Config) {
-  std::string Path = Config.TracePath.empty()
-                         ? envString("GPUSTM_TRACE", "")
-                         : Config.TracePath;
+/// \p Path for its first run in this process, "<Path>.N" for its N-th
+/// later one, so the files of repeated runs (sweeps, kernels in sequence)
+/// do not clobber one another.  Empty stays empty.
+static std::string withRunSuffix(const std::string &Path) {
   if (Path.empty())
     return Path;
   // Guarded: harness runs may execute concurrently under the GPUSTM_JOBS
-  // sweep runner (traced runs are rare, so contention is not a concern).
+  // sweep runner (observed runs are rare, so contention is not a concern).
   static std::mutex RunsMutex;
   static std::map<std::string, unsigned> RunsPerPath;
   std::lock_guard<std::mutex> Lock(RunsMutex);
   unsigned Run = RunsPerPath[Path]++;
   return Run == 0 ? Path : formatString("%s.%u", Path.c_str(), Run);
 }
-
-#if GPUSTM_SAN_ENABLED
-/// Where an environment-enabled simtsan run writes its JSON report, with
-/// the same ".N" multi-run suffixing resolveTracePath applies.
-static std::string resolveSanReportPath() {
-  std::string Path = envString("GPUSTM_SAN_REPORT", "simtsan_report.json");
-  if (Path.empty())
-    return Path;
-  static std::mutex RunsMutex;
-  static std::map<std::string, unsigned> RunsPerPath;
-  std::lock_guard<std::mutex> Lock(RunsMutex);
-  unsigned Run = RunsPerPath[Path]++;
-  return Run == 0 ? Path : formatString("%s.%u", Path.c_str(), Run);
-}
-#endif // GPUSTM_SAN_ENABLED
 
 /// Widest launch across kernels (the STM runtime sizes its per-thread and
 /// per-warp metadata for the largest one).
@@ -200,33 +182,24 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
   // simtsan: a caller-owned observer wins; otherwise GPUSTM_SAN=1 makes the
   // harness own a detector for this run.  Attached before the STM runtime
   // is built so the detector sees the lock-table registration.
-  simt::SanHooks *San = Config.San;
+  simt::Observer *San = Config.San;
   std::unique_ptr<analysis::Simtsan> OwnedSan;
   std::string SanReportPath;
-#if GPUSTM_SAN_ENABLED
   if (!San && envBool("GPUSTM_SAN", false)) {
     analysis::SimtsanOptions SanOpts;
     SanOpts.MaxReports = envUnsigned("GPUSTM_SAN_MAX_REPORTS", 100);
     OwnedSan = std::make_unique<analysis::Simtsan>(SanOpts);
     San = OwnedSan.get();
-    SanReportPath = resolveSanReportPath();
+    SanReportPath = withRunSuffix(
+        envString("GPUSTM_SAN_REPORT", "simtsan_report.json"));
   }
   if (San)
-    Dev.setSanHooks(San);
-#else
-  if (envBool("GPUSTM_SAN", false)) {
-    static std::once_flag WarnOnce;
-    std::call_once(WarnOnce, [] {
-      std::fprintf(stderr, "simtsan: compiled out (GPUSTM_NO_SAN); "
-                           "GPUSTM_SAN is ignored\n");
-    });
-  }
-#endif
+    Dev.addObserver(San);
 
   // Weak-memory mode: a caller-owned model wins; otherwise GPUSTM_WMM=1
-  // makes the harness own one for this run.  The device itself refuses the
-  // combination with trace/simtsan observers (SC execution wins, with a
-  // warning), so attaching unconditionally here is safe.
+  // makes the harness own one for this run.  The device itself sits the
+  // model out of launches with an observer attached (SC execution wins,
+  // with a warning), so attaching unconditionally here is safe.
   wmm::MemModel *Wmm = Config.Wmm;
   std::unique_ptr<wmm::MemModel> OwnedWmm;
   if (!Wmm && envBool("GPUSTM_WMM", false)) {
@@ -265,7 +238,9 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
   std::unique_ptr<trace::TxTraceRecorder> OwnedRecorder;
   std::string TracePath;
   if (!Recorder) {
-    TracePath = resolveTracePath(Config);
+    TracePath = withRunSuffix(Config.TracePath.empty()
+                                  ? envString("GPUSTM_TRACE", "")
+                                  : Config.TracePath);
     if (!TracePath.empty()) {
       trace::TxTraceRecorder::Options RecOpts;
       RecOpts.RecordOps = envBool("GPUSTM_TRACE_OPS", false);
@@ -357,7 +332,7 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
   // Detach per-run observers: the device outlives this run, and the owned
   // observers do not.
   if (San)
-    Dev.setSanHooks(nullptr);
+    Dev.removeObserver(San);
   if (Wmm)
     Dev.setWmmModel(nullptr);
 

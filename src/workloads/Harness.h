@@ -64,18 +64,19 @@ struct HarnessConfig {
   /// binary trace there; a second run through the same config appends
   /// ".1", ".2", ... so kernels-in-sequence do not clobber each other.
   std::string TracePath;
-  /// Caller-owned simtsan observer (src/analysis/): when set, the harness
-  /// attaches it to the device for the whole run.  When unset, GPUSTM_SAN=1
-  /// makes the harness construct a detector itself and write its JSON
-  /// report to GPUSTM_SAN_REPORT (default simtsan_report.json, with the
-  /// same ".N" multi-run suffixing as traces).  Detection never changes
-  /// modeled results.
-  simt::SanHooks *San = nullptr;
+  /// Caller-owned observer, usually simtsan (src/analysis/): when set, the
+  /// harness attaches it to the device for the whole run, before the STM
+  /// runtime registers its lock table.  When unset, GPUSTM_SAN=1 makes the
+  /// harness construct a detector itself and write its JSON report to
+  /// GPUSTM_SAN_REPORT (default simtsan_report.json, with the same ".N"
+  /// multi-run suffixing as traces).  Observation never changes modeled
+  /// results.
+  simt::Observer *San = nullptr;
   /// Caller-owned weak-memory model (src/wmm/): when set, the harness
   /// attaches it to the device for the whole run.  When unset, GPUSTM_WMM=1
   /// makes the harness construct one seeded by GPUSTM_WMM_SEED with store
-  /// buffers of GPUSTM_WMM_BUFFER entries.  Mutually exclusive with trace
-  /// recording and simtsan (the device warns and keeps SC execution).
+  /// buffers of GPUSTM_WMM_BUFFER entries.  Sits out runs with an observer
+  /// attached (the device warns and keeps SC execution).
   wmm::MemModel *Wmm = nullptr;
 };
 

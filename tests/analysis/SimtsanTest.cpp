@@ -5,16 +5,21 @@
 // Seeded-bug mutation tests: each kernel below violates exactly one rule
 // the detector checks (unlock by a non-owner, a version published without a
 // threadfence, a barrier under divergence, a plain store into an in-flight
-// transaction's write set, a lost-update race) and must be caught with the
-// expected report kind and coordinates.  The clean half of the suite runs
-// the full 6-workload matrix with the detector attached and requires zero
-// findings, and verifies the hard guarantee that attaching a detector never
-// changes modeled results.
+// transaction's write set, a lost-update race, a lock held past the end of
+// a transaction) and must be caught with the expected report kind and
+// coordinates.  The clean half of the suite runs the full 6-workload matrix
+// with the detector attached and requires zero findings, and verifies the
+// hard guarantee that attaching a detector -- alone or beside a trace
+// recorder -- never changes modeled results.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Simtsan.h"
 #include "simt/Device.h"
+#include "stm/Runtime.h"
+#include "stm/Tx.h"
+#include "trace/Recorder.h"
+#include "trace/TraceIO.h"
 #include "workloads/EigenBench.h"
 #include "workloads/Genome.h"
 #include "workloads/Harness.h"
@@ -25,7 +30,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 using namespace gpustm;
@@ -35,8 +43,6 @@ using namespace gpustm::workloads;
 using stm::Variant;
 
 namespace {
-
-#if GPUSTM_SAN_ENABLED
 
 DeviceConfig mutationConfig() {
   DeviceConfig C;
@@ -82,7 +88,7 @@ TEST(SimtsanMutationTest, UnlockByNonOwnerIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   // Thread 0 (warp 0) acquires the version lock; thread 32 (warp 1) then
   // stores it back to "unlocked" without owning it.
@@ -112,7 +118,7 @@ TEST(SimtsanMutationTest, VersionPublishedWithoutFenceIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   // Algorithm 3's commit, with the threadfence between write-back and lock
   // release deleted: the new version becomes visible while the write-back
@@ -147,7 +153,7 @@ TEST(SimtsanMutationTest, FencedVersionPublishIsClean) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   LaunchResult R = Dev.launch({1, 32}, [&](ThreadCtx &Ctx) {
     if (Ctx.globalThreadId() != 0)
@@ -172,7 +178,7 @@ TEST(SimtsanMutationTest, VersionRegressionIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   // Initialize the lock at version 5, acquire, then release at version 3.
   LaunchResult R = Dev.launch({1, 32}, [&](ThreadCtx &Ctx) {
@@ -193,7 +199,7 @@ TEST(SimtsanMutationTest, VersionRegressionIsReported) {
 TEST(SimtsanMutationTest, BarrierUnderDivergenceIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   // __syncthreads() inside one side of a SIMT branch: half the warp can
   // never arrive, so the launch cannot complete and the detector must name
   // the divergent arrival.
@@ -212,7 +218,7 @@ TEST(SimtsanMutationTest, BarrierUnderDivergenceIsReported) {
 TEST(SimtsanMutationTest, BarrierSkippedByExitedLanesIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   // Half the block returns before the barrier; the barrier only completes
   // because the simulator credits exited lanes.  That is a real-GPU hazard
   // (undefined behavior on hardware) even though the simulation finishes.
@@ -236,7 +242,7 @@ TEST(SimtsanMutationTest, PlainStoreToTxOwnedWordIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   // Thread 0 runs a well-formed commit (acquire, write-back, fence,
   // release); thread 32 stores the same data word non-transactionally while
@@ -273,7 +279,7 @@ TEST(SimtsanMutationTest, PlainStoreToTxOwnedWordIsReported) {
 TEST(SimtsanMutationTest, LostUpdateRaceIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Counter = Dev.hostAlloc(1);
   Addr Scratch = Dev.hostAlloc(256);
   // The classic lost update: both warps do a plain read-modify-write of the
@@ -300,7 +306,7 @@ TEST(SimtsanMutationTest, AtomicSynchronizedCounterIsClean) {
   // synchronization, not a race.
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Counter = Dev.hostAlloc(1);
   LaunchResult R = Dev.launch({1, 64}, [&](ThreadCtx &Ctx) {
     if (Ctx.laneId() == 0)
@@ -315,7 +321,7 @@ TEST(SimtsanMutationTest, LockHeldAtKernelEndIsReported) {
   Device Dev(mutationConfig());
   Simtsan San(quietOptions());
   FakeStm S(Dev, San);
-  Dev.setSanHooks(&San);
+  Dev.addObserver(&San);
   Addr Lock = S.lockFor(S.Data);
   LaunchResult R = Dev.launch({1, 32}, [&](ThreadCtx &Ctx) {
     if (Ctx.globalThreadId() == 0)
@@ -327,6 +333,37 @@ TEST(SimtsanMutationTest, LockHeldAtKernelEndIsReported) {
   ASSERT_EQ(San.count(ReportKind::LockLeak), 1u);
   EXPECT_EQ(San.reports().front().Address, Lock);
   EXPECT_EQ(San.reports().front().Thread, 0u);
+}
+
+TEST(SimtsanMutationTest, LockHeldAtTransactionEndIsReported) {
+  Device Dev(mutationConfig());
+  Simtsan San(quietOptions());
+  Dev.addObserver(&San); // Before the runtime: it registers its lock table.
+  Addr Data = Dev.hostAlloc(2);
+  stm::StmConfig SC;
+  SC.Kind = Variant::HVSorting;
+  SC.NumLocks = 1024;
+  SC.Faults.LeakReadLocks = true; // BUG: read-only stripes stay locked.
+  stm::StmRuntime Stm(Dev, SC, {1, 32});
+  LaunchResult R = Dev.launch({1, 32}, [&](ThreadCtx &Ctx) {
+    if (Ctx.globalThreadId() != 0)
+      return;
+    Stm.transaction(Ctx, [&](stm::Tx &T) {
+      Word V = T.read(Data);
+      if (!T.valid())
+        return;
+      T.write(Data + 1, V + 1);
+    });
+  });
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(San.findingCount(), 1u);
+  ASSERT_EQ(San.count(ReportKind::LockLeak), 1u);
+  const SanReport &Rep = San.reports().front();
+  EXPECT_EQ(Rep.Address, Stm.lockWordAddr(Stm.lockIndexFor(Data)));
+  EXPECT_EQ(Rep.Thread, 0u);
+  EXPECT_NE(Rep.Message.find("end of a committed transaction attempt"),
+            std::string::npos)
+      << Rep.Message;
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,13 +483,54 @@ TEST(SimtsanIdentityTest, DetectorOnAndOffProduceIdenticalModeledResults) {
   EXPECT_EQ(Off.SanReports, 0u);
 }
 
-#else // !GPUSTM_SAN_ENABLED
-
-TEST(SimtsanMutationTest, CompiledOut) {
-  GTEST_SKIP() << "simtsan hooks compiled out (GPUSTM_NO_SAN)";
+/// The bytes trace::writeTrace gives for \p T (written to \p Path, which
+/// is removed again).
+std::string traceBytes(const trace::TxTrace &T, const std::string &Path) {
+  std::string Err;
+  EXPECT_TRUE(trace::writeTrace(T, Path, &Err)) << Err;
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Bytes;
+  Bytes << In.rdbuf();
+  std::remove(Path.c_str());
+  return Bytes.str();
 }
 
-#endif // GPUSTM_SAN_ENABLED
+TEST(SimtsanIdentityTest, RecorderAndDetectorShareOneRun) {
+  // Observers compose: a detector and an op-recording trace recorder on one
+  // run each see what they see alone, and the run's modeled results match
+  // a run with no observer at all.
+  trace::TxTraceRecorder::Options RecOpts;
+  RecOpts.RecordOps = true;
+  auto Run = [](Simtsan *San, trace::TxTraceRecorder *Rec) {
+    auto W = makeSmall("RA");
+    HarnessConfig HC = smallConfig(Variant::HVSorting);
+    HC.San = San;
+    HC.Recorder = Rec;
+    HarnessResult R = runWorkload(*W, HC);
+    EXPECT_TRUE(R.Completed && R.Verified) << R.Error;
+    return R;
+  };
+  HarnessResult Plain = Run(nullptr, nullptr);
+  trace::TxTraceRecorder SoloRec(RecOpts);
+  Run(nullptr, &SoloRec);
+  Simtsan SoloSan(quietOptions());
+  Run(&SoloSan, nullptr);
+  trace::TxTraceRecorder BothRec(RecOpts);
+  Simtsan BothSan(quietOptions());
+  HarnessResult Both = Run(&BothSan, &BothRec);
+
+  EXPECT_EQ(resultDigest(Both), resultDigest(Plain));
+  EXPECT_FALSE(BothRec.trace().Events.empty());
+  EXPECT_FALSE(BothRec.trace().Ops.empty());
+  EXPECT_EQ(BothRec.trace().Events.size(), SoloRec.trace().Events.size());
+  EXPECT_EQ(BothRec.trace().Ops.size(), SoloRec.trace().Ops.size());
+  EXPECT_TRUE(traceBytes(BothRec.trace(), "simtsan_both.trace") ==
+              traceBytes(SoloRec.trace(), "simtsan_solo.trace"))
+      << "the recorder saw a different run with the detector attached";
+  EXPECT_EQ(BothSan.findingCount(), SoloSan.findingCount());
+  EXPECT_EQ(BothSan.findingCount(), 0u);
+  EXPECT_EQ(Both.SanReports, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // Out-of-bounds hardening (always compiled, detector or not): an OOB word

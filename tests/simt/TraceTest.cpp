@@ -1,4 +1,4 @@
-//===- tests/simt/TraceTest.cpp - Operation trace hook tests --------------===//
+//===- tests/simt/TraceTest.cpp - Lane operation observer tests -----------===//
 //
 // Part of the GPU-STM reproduction (CGO 2014).
 //
@@ -26,11 +26,18 @@ DeviceConfig smallConfig() {
   return C;
 }
 
+/// Keeps every reported lane operation.
+struct OpLog final : Observer {
+  std::vector<TraceEvent> Ops;
+  void onOp(const TraceEvent &E) override { Ops.push_back(E); }
+};
+
 TEST(TraceTest, CapturesEveryLaneOperationInIssueOrder) {
   Device Dev(smallConfig());
   Addr Data = Dev.hostAlloc(256);
-  std::vector<TraceEvent> Events;
-  Dev.setTraceHook([&](const TraceEvent &E) { Events.push_back(E); });
+  OpLog Log;
+  Dev.addObserver(&Log);
+  const std::vector<TraceEvent> &Events = Log.Ops;
   LaunchConfig L{1, 4};
   LaunchResult R = Dev.launch(L, [&](ThreadCtx &Ctx) {
     Ctx.store(Data + Ctx.laneId(), 1);
@@ -62,6 +69,8 @@ TEST(TraceTest, CapturesEveryLaneOperationInIssueOrder) {
       break;
     case OpKind::None:
       ++Finishes;
+      EXPECT_EQ(E.Address, InvalidAddr) << "finish marker kept an address";
+      EXPECT_EQ(E.Value, 0u);
       break;
     default:
       ADD_FAILURE() << "unexpected op kind";
@@ -74,26 +83,58 @@ TEST(TraceTest, CapturesEveryLaneOperationInIssueOrder) {
   EXPECT_EQ(Finishes, 4u);
 }
 
-TEST(TraceTest, HookCanBeCleared) {
+TEST(TraceTest, ValuesAreTakenAfterEachLanesOp) {
+  Device Dev(smallConfig());
+  Addr Data = Dev.hostAlloc(1);
+  Dev.hostFill(Data, 1, 5);
+  OpLog Log;
+  Dev.addObserver(&Log);
+  // One round: lane 0 loads the word, then lane 1 overwrites it.  The
+  // load's record must carry the value it read, not the round's end state.
+  LaunchResult R = Dev.launch({1, 2}, [&](ThreadCtx &Ctx) {
+    if (Ctx.laneId() == 0)
+      (void)Ctx.load(Data);
+    else
+      Ctx.store(Data, 7);
+  });
+  ASSERT_TRUE(R.Completed);
+  ASSERT_EQ(Log.Ops.size(), 4u);
+  EXPECT_EQ(Log.Ops[0].Kind, OpKind::Load);
+  EXPECT_EQ(Log.Ops[0].LaneIdx, 0u);
+  EXPECT_EQ(Log.Ops[0].Value, 5u);
+  EXPECT_EQ(Log.Ops[1].Kind, OpKind::Store);
+  EXPECT_EQ(Log.Ops[1].LaneIdx, 1u);
+  EXPECT_EQ(Log.Ops[1].Value, 7u);
+  for (unsigned I = 2; I < 4; ++I) {
+    EXPECT_EQ(Log.Ops[I].Kind, OpKind::None);
+    EXPECT_EQ(Log.Ops[I].LaneIdx, I - 2);
+    EXPECT_EQ(Log.Ops[I].Address, InvalidAddr);
+    EXPECT_EQ(Log.Ops[I].Value, 0u);
+  }
+}
+
+TEST(TraceTest, ObserverCanBeRemoved) {
   Device Dev(smallConfig());
   Addr Data = Dev.hostAlloc(16);
-  unsigned Count = 0;
-  Dev.setTraceHook([&](const TraceEvent &) { ++Count; });
+  OpLog Log;
+  Dev.addObserver(&Log);
   LaunchConfig L{1, 1};
   (void)Dev.launch(L, [&](ThreadCtx &Ctx) { Ctx.store(Data, 1); });
-  unsigned AfterFirst = Count;
+  size_t AfterFirst = Log.Ops.size();
   EXPECT_GT(AfterFirst, 0u);
-  Dev.setTraceHook(nullptr);
+  Dev.removeObserver(&Log);
+  EXPECT_FALSE(Dev.observed());
   (void)Dev.launch(L, [&](ThreadCtx &Ctx) { Ctx.store(Data, 2); });
-  EXPECT_EQ(Count, AfterFirst);
+  EXPECT_EQ(Log.Ops.size(), AfterFirst);
 }
 
 TEST(TraceTest, TracingDoesNotPerturbTiming) {
   auto Run = [&](bool Traced) {
     Device Dev(smallConfig());
     Addr Data = Dev.hostAlloc(4096);
+    OpLog Log;
     if (Traced)
-      Dev.setTraceHook([](const TraceEvent &) {});
+      Dev.addObserver(&Log);
     LaunchConfig L{2, 64};
     LaunchResult R = Dev.launch(L, [&](ThreadCtx &Ctx) {
       for (int I = 0; I < 8; ++I)
@@ -144,10 +185,12 @@ std::vector<uint64_t> launchConcurrently(unsigned Threads, SetupFn Setup) {
 
 TEST(TraceTest, ConcurrentObservedWmmLaunchesWarnOnce) {
   testing::internal::CaptureStderr();
+  // Stateless (every event is a no-op), so both devices may share it.
+  Observer Quiet;
   std::vector<uint64_t> Cycles =
-      launchConcurrently(2, [](Device &Dev, wmm::MemModel &Model) {
+      launchConcurrently(2, [&](Device &Dev, wmm::MemModel &Model) {
         Dev.setWmmModel(&Model);
-        Dev.setTraceHook([](const TraceEvent &) {});
+        Dev.addObserver(&Quiet);
       });
   std::string Err = testing::internal::GetCapturedStderr();
   std::fputs(Err.c_str(), stderr); // keep sanitizer reports visible

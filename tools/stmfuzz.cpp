@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Args.h"
 #include "fuzz/FuzzWorkload.h"
 #include "fuzz/Fuzzer.h"
 #include "support/Format.h"
@@ -27,6 +28,7 @@
 #include <vector>
 
 using namespace gpustm;
+using tools::Args;
 
 namespace {
 
@@ -62,51 +64,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseVariant(const std::string &Name, stm::Variant &Out) {
-  struct Alias {
-    const char *Name;
-    stm::Variant Kind;
-  };
-  static const Alias Aliases[] = {
-      {"cgl", stm::Variant::CGL},
-      {"vbv", stm::Variant::VBV},
-      {"tbv", stm::Variant::TBVSorting},
-      {"hv", stm::Variant::HVSorting},
-      {"backoff", stm::Variant::HVBackoff},
-      {"opt", stm::Variant::Optimized},
-      {"egpgv", stm::Variant::EGPGV},
-  };
-  for (const Alias &A : Aliases)
-    if (Name == A.Name) {
-      Out = A.Kind;
-      return true;
-    }
-  for (unsigned V = 0; V <= static_cast<unsigned>(stm::Variant::EGPGV); ++V)
-    if (Name == stm::variantName(static_cast<stm::Variant>(V))) {
-      Out = static_cast<stm::Variant>(V);
-      return true;
-    }
-  return false;
-}
-
-/// Positional/flag cursor over argv.
-struct Args {
-  int Argc;
-  char **Argv;
-  int I = 2; // past "<prog> <command>"
-
-  bool done() const { return I >= Argc; }
-  std::string next() { return Argv[I++]; }
-  bool value(const char *Flag, std::string &Out) {
-    if (done()) {
-      std::fprintf(stderr, "stmfuzz: %s needs a value\n", Flag);
-      return false;
-    }
-    Out = next();
-    return true;
-  }
-};
-
 struct RunOptions {
   uint64_t Seeds = 500;
   uint64_t Start = 0;
@@ -134,7 +91,7 @@ int parseRunFlag(Args &A, const std::string &Arg, RunOptions &R) {
     if (!A.value(Arg.c_str(), Val))
       return 2;
     stm::Variant Kind;
-    if (!parseVariant(Val, Kind)) {
+    if (!stm::parseVariant(Val, Kind)) {
       std::fprintf(stderr, "stmfuzz: unknown variant '%s'\n", Val.c_str());
       return 2;
     }
@@ -358,7 +315,7 @@ int cmdShow(Args &A) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage(Argv[0]);
-  Args A{Argc, Argv};
+  Args A{"stmfuzz", Argc, Argv};
   std::string Cmd = Argv[1];
   if (Cmd == "run")
     return cmdRun(A);

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Args.h"
 #include "analysis/static/Lint.h"
 #include "fuzz/FuzzProgram.h"
 #include "fuzz/FuzzWorkload.h"
@@ -31,6 +32,7 @@
 #include <vector>
 
 using namespace gpustm;
+using tools::Args;
 
 namespace {
 
@@ -56,51 +58,6 @@ int usage(const char *Argv0) {
       Argv0);
   return 2;
 }
-
-bool parseVariant(const std::string &Name, stm::Variant &Out) {
-  struct Alias {
-    const char *Name;
-    stm::Variant Kind;
-  };
-  static const Alias Aliases[] = {
-      {"cgl", stm::Variant::CGL},
-      {"vbv", stm::Variant::VBV},
-      {"tbv", stm::Variant::TBVSorting},
-      {"hv", stm::Variant::HVSorting},
-      {"backoff", stm::Variant::HVBackoff},
-      {"opt", stm::Variant::Optimized},
-      {"egpgv", stm::Variant::EGPGV},
-  };
-  for (const Alias &A : Aliases)
-    if (Name == A.Name) {
-      Out = A.Kind;
-      return true;
-    }
-  for (unsigned V = 0; V <= static_cast<unsigned>(stm::Variant::EGPGV); ++V)
-    if (Name == stm::variantName(static_cast<stm::Variant>(V))) {
-      Out = static_cast<stm::Variant>(V);
-      return true;
-    }
-  return false;
-}
-
-/// Positional/flag cursor over argv.
-struct Args {
-  int Argc;
-  char **Argv;
-  int I = 2; // past "<prog> <command>"
-
-  bool done() const { return I >= Argc; }
-  std::string next() { return Argv[I++]; }
-  bool value(const char *Flag, std::string &Out) {
-    if (done()) {
-      std::fprintf(stderr, "stmlint: %s needs a value\n", Flag);
-      return false;
-    }
-    Out = next();
-    return true;
-  }
-};
 
 /// Analyze one (workload, variant) cell and append its report.
 bool lintCell(const std::string &WorkloadName, stm::Variant Kind,
@@ -160,7 +117,7 @@ int cmdCheck(Args &A) {
     } else if (Arg == "-v" || Arg == "--variant") {
       if (!A.value(Arg.c_str(), Val))
         return 2;
-      if (!parseVariant(Val, Kind)) {
+      if (!stm::parseVariant(Val, Kind)) {
         std::fprintf(stderr, "stmlint: unknown variant '%s'\n", Val.c_str());
         return 2;
       }
@@ -278,7 +235,7 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage(Argv[0]);
   std::string Cmd = Argv[1];
-  Args A{Argc, Argv};
+  Args A{"stmlint", Argc, Argv};
   if (Cmd == "check")
     return cmdCheck(A);
   if (Cmd == "matrix")

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Args.h"
 #include "analysis/Simtsan.h"
 #include "support/Format.h"
 #include "trace/Analysis.h"
@@ -31,6 +32,7 @@
 #include <vector>
 
 using namespace gpustm;
+using tools::Args;
 
 namespace {
 
@@ -59,51 +61,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseVariant(const std::string &Name, stm::Variant &Out) {
-  struct Alias {
-    const char *Name;
-    stm::Variant Kind;
-  };
-  static const Alias Aliases[] = {
-      {"cgl", stm::Variant::CGL},
-      {"vbv", stm::Variant::VBV},
-      {"tbv", stm::Variant::TBVSorting},
-      {"hv", stm::Variant::HVSorting},
-      {"backoff", stm::Variant::HVBackoff},
-      {"opt", stm::Variant::Optimized},
-      {"egpgv", stm::Variant::EGPGV},
-  };
-  for (const Alias &A : Aliases)
-    if (Name == A.Name) {
-      Out = A.Kind;
-      return true;
-    }
-  for (unsigned V = 0; V <= static_cast<unsigned>(stm::Variant::EGPGV); ++V)
-    if (Name == stm::variantName(static_cast<stm::Variant>(V))) {
-      Out = static_cast<stm::Variant>(V);
-      return true;
-    }
-  return false;
-}
-
-/// Positional/flag cursor over argv.
-struct Args {
-  int Argc;
-  char **Argv;
-  int I = 2; // past "<prog> <command>"
-
-  bool done() const { return I >= Argc; }
-  std::string next() { return Argv[I++]; }
-  bool value(const char *Flag, std::string &Out) {
-    if (done()) {
-      std::fprintf(stderr, "stmtrace: %s needs a value\n", Flag);
-      return false;
-    }
-    Out = next();
-    return true;
-  }
-};
-
 int cmdRecord(Args &A) {
   std::string WorkloadName, Out;
   stm::Variant Kind = stm::Variant::HVSorting;
@@ -120,7 +77,7 @@ int cmdRecord(Args &A) {
     } else if (Arg == "-v" || Arg == "--variant") {
       if (!A.value(Arg.c_str(), Val))
         return 2;
-      if (!parseVariant(Val, Kind)) {
+      if (!stm::parseVariant(Val, Kind)) {
         std::fprintf(stderr, "stmtrace: unknown variant '%s'\n", Val.c_str());
         return 2;
       }
@@ -289,7 +246,7 @@ int cmdSan(Args &A) {
     } else if (Arg == "-v" || Arg == "--variant") {
       if (!A.value(Arg.c_str(), Val))
         return 2;
-      if (!parseVariant(Val, Kind)) {
+      if (!stm::parseVariant(Val, Kind)) {
         std::fprintf(stderr, "stmtrace: unknown variant '%s'\n", Val.c_str());
         return 2;
       }
@@ -319,12 +276,6 @@ int cmdSan(Args &A) {
     std::fprintf(stderr, "stmtrace: san needs -w <workload>\n");
     return 2;
   }
-#if !GPUSTM_SAN_ENABLED
-  std::fprintf(stderr, "stmtrace: simtsan hooks are compiled out "
-                       "(GPUSTM_NO_SAN); rebuild without it\n");
-  return 2;
-#endif
-
   std::unique_ptr<workloads::Workload> W =
       workloads::makeWorkload(WorkloadName, Scale);
   workloads::HarnessConfig HC;
@@ -382,7 +333,7 @@ int cmdSan(Args &A) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage(Argv[0]);
-  Args A{Argc, Argv};
+  Args A{"stmtrace", Argc, Argv};
   std::string Cmd = Argv[1];
   if (Cmd == "record")
     return cmdRecord(A);
