@@ -358,14 +358,10 @@ LintReport staticlint::lintSummaries(const std::string &WorkloadName,
   bool IsCgl = SC.Kind == stm::Variant::CGL;
   bool HasLockLog =
       !IsCgl && SC.validation() != stm::Validation::VBV;
-  // Adaptive locking probes both policies, so both worst-cases must fit.
   bool CheckSorted = HasLockLog &&
-                     (SC.AdaptiveLocking ||
-                      (SC.locking() == stm::CommitLocking::Sorted &&
-                       !SC.DisableSorting));
+                     SC.locking() == stm::CommitLocking::Sorted &&
+                     !SC.DisableSorting;
   bool CheckAppend = HasLockLog && !CheckSorted;
-  if (HasLockLog && SC.AdaptiveLocking)
-    CheckAppend = true;
   unsigned AppendCap = SC.LockLogBuckets * SC.LockLogBucketCap;
   BucketMap BM(SC);
 

@@ -16,12 +16,11 @@ std::string FuzzProgram::summary() const {
   return formatString(
       "seed=%llu grid=%u block=%u warp=%u sms=%u tasks=%u txs=%u ops=%zu "
       "shared=%u locks=%zu rcap=%u wcap=%u llog=%ux%u coal=%d prelock=%d "
-      "sched=%u adaptive=%d schedfuzz=%llu",
+      "sched=%u schedfuzz=%llu",
       static_cast<unsigned long long>(Seed), GridDim, BlockDim, WarpSize,
       NumSMs, NumTasks, totalTxs(), totalOps(), SharedWords, NumLocks,
       ReadSetCap, WriteSetCap, LockLogBuckets, LockLogBucketCap,
       CoalescedLogs ? 1 : 0, PreLockValidation ? 1 : 0, SchedulerCap,
-      AdaptiveLocking ? 1 : 0,
       static_cast<unsigned long long>(SchedFuzzSeed));
 }
 
@@ -80,7 +79,10 @@ FuzzProgram gpustm::fuzz::generateProgram(uint64_t Seed) {
   else
     P.SchedulerCap =
         static_cast<unsigned>(R.nextInRange(1, std::max(1u, TotalThreads)));
-  P.AdaptiveLocking = R.nextBool(0.15);
+  // This draw once picked the adaptive commit-locking knob, which is gone.
+  // It stays, its value discarded, so every seed still names the same
+  // program.
+  (void)R.nextBool(0.15);
   P.SchedFuzzSeed = R.nextBool(0.5) ? R.next() | 1 : 0;
   P.NativeComputePerTask = static_cast<uint32_t>(R.nextBelow(8));
 

@@ -111,7 +111,6 @@ struct FuzzProgram {
   bool PreLockValidation = true;
   /// Harness semantics: 0 = scheduler off, ~0u = adaptive, else static cap.
   unsigned SchedulerCap = 0;
-  bool AdaptiveLocking = false;
 
   // Device shape.
   unsigned NumSMs = 2;

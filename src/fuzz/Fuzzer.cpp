@@ -53,6 +53,23 @@ std::string SeedResult::failureSummary() const {
   return S;
 }
 
+HarnessConfig gpustm::fuzz::makeConfig(const FuzzProgram &P,
+                                      stm::Variant Kind,
+                                      const FuzzOptions &O) {
+  HarnessConfig HC;
+  HC.Kind = Kind;
+  HC.Launches.push_back(simt::LaunchConfig{P.GridDim, P.BlockDim});
+  HC.NumLocks = P.NumLocks;
+  HC.CoalescedLogs = P.CoalescedLogs;
+  HC.SchedulerCap = P.SchedulerCap;
+  HC.DisableSorting = O.DisableSorting;
+  HC.DeviceCfg.WarpSize = P.WarpSize;
+  HC.DeviceCfg.NumSMs = P.NumSMs;
+  HC.DeviceCfg.SchedFuzzSeed = P.SchedFuzzSeed;
+  HC.DeviceCfg.WatchdogRounds = O.WatchdogRounds;
+  return HC;
+}
+
 namespace {
 
 uint64_t mix64(uint64_t H, uint64_t V) {
@@ -74,23 +91,6 @@ uint64_t runDigest(const FuzzWorkload &W, const HarnessResult &R) {
                      C.TxWrites})
     H = mix64(H, V);
   return H;
-}
-
-HarnessConfig makeConfig(const FuzzProgram &P, stm::Variant Kind,
-                         const FuzzOptions &O) {
-  HarnessConfig HC;
-  HC.Kind = Kind;
-  HC.Launches.push_back(simt::LaunchConfig{P.GridDim, P.BlockDim});
-  HC.NumLocks = P.NumLocks;
-  HC.CoalescedLogs = P.CoalescedLogs;
-  HC.SchedulerCap = P.SchedulerCap;
-  HC.AdaptiveLocking = P.AdaptiveLocking;
-  HC.DisableSorting = O.DisableSorting;
-  HC.DeviceCfg.WarpSize = P.WarpSize;
-  HC.DeviceCfg.NumSMs = P.NumSMs;
-  HC.DeviceCfg.SchedFuzzSeed = P.SchedFuzzSeed;
-  HC.DeviceCfg.WatchdogRounds = O.WatchdogRounds;
-  return HC;
 }
 
 /// One harness run; fails the outcome on non-completion (livelock or
@@ -345,8 +345,6 @@ FuzzProgram gpustm::fuzz::shrinkProgram(const FuzzProgram &P,
       tryKnob([](FuzzProgram &C) { C.SchedFuzzSeed = 0; });
     if (S.Best.SchedulerCap != 0)
       tryKnob([](FuzzProgram &C) { C.SchedulerCap = 0; });
-    if (S.Best.AdaptiveLocking)
-      tryKnob([](FuzzProgram &C) { C.AdaptiveLocking = false; });
     if (S.Best.NativeComputePerTask != 0)
       tryKnob([](FuzzProgram &C) { C.NativeComputePerTask = 0; });
     if (S.Best.GridDim > 1)

@@ -21,6 +21,7 @@
 #define GPUSTM_FUZZ_FUZZER_H
 
 #include "fuzz/FuzzProgram.h"
+#include "workloads/Harness.h"
 
 #include <string>
 #include <vector>
@@ -83,6 +84,12 @@ struct SeedResult {
   /// One line per failing variant; empty string when passed.
   std::string failureSummary() const;
 };
+
+/// The harness configuration \p P runs under for variant \p Kind: the one
+/// FuzzProgram-to-HarnessConfig mapping, shared by the fuzzer and
+/// `stmlint fuzz`.
+workloads::HarnessConfig makeConfig(const FuzzProgram &P, stm::Variant Kind,
+                                    const FuzzOptions &O);
 
 /// Run the program under every requested variant with every check.
 SeedResult runProgram(const FuzzProgram &P, const FuzzOptions &O);

@@ -20,8 +20,9 @@
 ///     equal request keys name equal deterministic computations.
 ///   * drain() returns results in submit order regardless of scheduling.
 ///   * Per-request latency is measured cold (context built on demand),
-///     warm (recycled context), and cached, so BENCH_server.json can report
-///     what the reuse actually buys.
+///     warm (recycled context), and cached.  stmbench's serve-mixed
+///     workload (bench/stmbench) measures served execution with the cache
+///     off.
 ///
 //===----------------------------------------------------------------------===//
 

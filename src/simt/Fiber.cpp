@@ -17,6 +17,17 @@
 #include <ucontext.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define GPUSTM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GPUSTM_ASAN 1
+#endif
+#endif
+#ifdef GPUSTM_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 using namespace gpustm;
 using namespace gpustm::simt;
 
@@ -211,6 +222,20 @@ constexpr size_t kSlabStacks = 256;
 /// stack tops cover a 128 KiB index range (an L2 of 2048 sets) for 0.8%
 /// more mapping.  64 and 1088 bytes measured the same (EXPERIMENTS.md).
 constexpr size_t kSlabStagger = 512;
+
+/// Clear ASan's shadow for stack memory about to be reused or unmapped.  A
+/// fiber discarded without unwinding (a deadlocked or watchdog-tripped
+/// launch) leaves its frames' redzones poisoned, and the shadow outlives
+/// munmap, so the next lane stack on those addresses -- even in a new
+/// mapping -- would report a false stack-buffer-overflow.
+void unpoisonStack(void *Base, size_t Bytes) {
+#ifdef GPUSTM_ASAN
+  __asan_unpoison_memory_region(Base, Bytes);
+#else
+  (void)Base;
+  (void)Bytes;
+#endif
+}
 } // namespace
 
 StackLayout StackPool::deviceLayout() {
@@ -225,12 +250,16 @@ StackPool::StackPool(size_t StackBytes, StackLayout Layout)
 
 StackPool::~StackPool() {
   if (usesSlabs()) {
-    for (auto &[Base, Bytes] : Slabs)
+    for (auto &[Base, Bytes] : Slabs) {
+      unpoisonStack(Base, Bytes);
       ::munmap(Base, Bytes);
+    }
     return;
   }
-  for (FiberStack &S : FreeList)
+  for (FiberStack &S : FreeList) {
+    unpoisonStack(S.base(), S.totalBytes());
     ::munmap(S.base(), S.totalBytes());
+  }
 }
 
 void StackPool::allocateSlab(size_t Page, size_t Usable) {
@@ -291,5 +320,7 @@ FiberStack StackPool::acquire() {
 void StackPool::release(FiberStack Stack) {
   if (!Stack.valid())
     return;
+  unpoisonStack(static_cast<char *>(Stack.top()) - Stack.usableBytes(),
+                Stack.usableBytes());
   FreeList.push_back(Stack);
 }

@@ -158,16 +158,6 @@ struct StmConfig {
   /// Commits between controller adjustments.
   unsigned SchedulerPeriod = 256;
 
-  /// Adaptive commit-locking (the paper's other Section 4.2 future work:
-  /// "adaptive selection between lock sorting and backoff may yield better
-  /// overall performance").  When enabled on a sorted variant, the runtime
-  /// probes both policies for LockingProbeCommits commits each, then
-  /// settles on the faster one (commit throughput in modeled cycles).
-  /// In-flight transactions keep the policy they began with; brief mixing
-  /// is safe because the backoff path serializes retries.
-  bool AdaptiveLocking = false;
-  unsigned LockingProbeCommits = 384;
-
   /// Ablation knob: keep lock-logs in encounter order even under the
   /// Sorted commit policy.  This reproduces the intra-warp circular-locking
   /// livelock of Section 2.2 that encounter-time lock-sorting eliminates
@@ -202,7 +192,8 @@ struct StmConfig {
     return Validation::TBV; // EGPGV commits under per-stripe locks.
   }
 
-  /// The commit-locking policy this variant resolves to.
+  /// The commit-locking policy this variant resolves to.  It is the only
+  /// place the policy is decided; a runtime keeps it for its whole life.
   CommitLocking locking() const {
     return Kind == Variant::HVBackoff ? CommitLocking::Backoff
                                       : CommitLocking::Sorted;

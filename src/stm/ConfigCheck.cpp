@@ -36,8 +36,6 @@ std::string stm::validateStmConfig(const StmConfig &Config) {
         Config.ReadSetCap, Config.WriteSetCap, Config.SharedDataWords);
   if (Config.Kind == Variant::Optimized && Config.SharedDataWords == 0)
     return "STM-Optimized requires SharedDataWords to select HV vs TBV";
-  if (Config.AdaptiveLocking && Config.DisableSorting)
-    return "AdaptiveLocking conflicts with DisableSorting";
   return std::string();
 }
 

@@ -30,8 +30,7 @@ namespace stm {
 ///    LockLogBucketCap nonzero;
 ///  - when SharedDataWords is declared, log caps over 16x the total shared
 ///    data are rejected as transposed-argument mistakes;
-///  - STM-Optimized needs SharedDataWords to pick HV vs TBV;
-///  - AdaptiveLocking conflicts with the DisableSorting ablation.
+///  - STM-Optimized needs SharedDataWords to pick HV vs TBV.
 std::string validateStmConfig(const StmConfig &Config);
 
 /// validateStmConfig, escalated to reportFatalError on the first violation.

@@ -65,8 +65,6 @@ public:
     assert(Buckets >= 1 && Buckets <= MaxBuckets && "bad bucket count");
     this->Storage = Storage;
     this->Lane = Lane;
-    this->ShapedBuckets = Buckets;
-    this->ShapedBucketCap = BucketCap;
     this->Buckets = M == Mode::Append ? 1 : Buckets;
     this->BucketCap = M == Mode::Append ? Buckets * BucketCap : BucketCap;
     this->BucketShift = BucketShift;
@@ -80,32 +78,6 @@ public:
       Counts[B] = 0;
     Total = 0;
   }
-
-  /// Switch between Sorted and Append behaviour for the next transaction
-  /// (the adaptive-locking extension retunes this per probe window).
-  /// Clears the log; bucket shape stays as configured.
-  void setMode(Mode M) {
-    if (M == LogMode) {
-      clear();
-      return;
-    }
-    // Swap between the (Buckets x BucketCap) sorted shape and the single
-    // flat bucket append mode.
-    if (M == Mode::Append) {
-      ShapedBuckets = Buckets;
-      ShapedBucketCap = BucketCap;
-      BucketCap = Buckets * BucketCap;
-      Buckets = 1;
-    } else {
-      Buckets = ShapedBuckets;
-      BucketCap = ShapedBucketCap;
-    }
-    LogMode = M;
-    clear();
-  }
-
-  /// Current mode.
-  Mode mode() const { return LogMode; }
 
   /// Number of distinct locks recorded.
   unsigned size() const { return Total; }
@@ -210,8 +182,6 @@ private:
   unsigned Lane = 0;
   unsigned Buckets = 1;
   unsigned BucketCap = 0;
-  unsigned ShapedBuckets = 1;   ///< Sorted-mode shape (setMode restores it).
-  unsigned ShapedBucketCap = 0;
   unsigned BucketShift = 0;
   Mode LogMode = Mode::Sorted;
   uint16_t Counts[MaxBuckets] = {};

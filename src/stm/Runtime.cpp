@@ -23,9 +23,6 @@ StmRuntime::StmRuntime(simt::Device &Dev, const StmConfig &Config,
     : Dev(Dev), Config(Config), Val(Config.validation()),
       Locking(Config.locking()) {
   checkStmConfigOrDie(Config);
-  CurrentLocking = Locking;
-  if (Config.AdaptiveLocking)
-    CurrentLocking = CommitLocking::Sorted; // Probe sorted first.
   unsigned WarpSize = Dev.config().WarpSize;
   unsigned WarpsPerBlock =
       static_cast<unsigned>(divideCeil(MaxLaunch.BlockDim, WarpSize));
@@ -200,7 +197,7 @@ void StmRuntime::schedulerAdjust() {
   uint64_t Elapsed = Now > SchedWindowStart ? Now - SchedWindowStart : 1;
   double Throughput =
       static_cast<double>(SchedWindowCommits) / static_cast<double>(Elapsed);
-  SchedWindowCommits = SchedWindowAborts = 0;
+  SchedWindowCommits = 0;
   SchedWindowStart = Now;
 
   // Hill-climb: keep moving the cap in the current direction while commit
@@ -214,37 +211,6 @@ void StmRuntime::schedulerAdjust() {
   else
     Cap = Cap > 16 ? Cap / 2 : 8;
   Dev.memory().store(SchedCapAddr, Cap);
-}
-
-void StmRuntime::lockingController() {
-  ++ProbeCommitsSeen;
-  if (ProbeCommitsSeen < Config.LockingProbeCommits)
-    return;
-  uint64_t Now = Dev.now();
-  uint64_t Elapsed = Now > ProbeStartCycle ? Now - ProbeStartCycle : 1;
-  double Throughput = static_cast<double>(ProbeCommitsSeen) /
-                      static_cast<double>(Elapsed);
-  ProbeCommitsSeen = 0;
-  ProbeStartCycle = Now;
-
-  // Update the decayed estimate of the policy that just ran.
-  unsigned Cur = CurrentLocking == CommitLocking::Sorted ? 0 : 1;
-  LockingEstimate[Cur] = LockingEstimate[Cur] < 0.0
-                             ? Throughput
-                             : 0.5 * LockingEstimate[Cur] + 0.5 * Throughput;
-  ++ProbeWindows;
-
-  // Explore the other policy when it is unmeasured or on the periodic
-  // re-probe tick; otherwise exploit the better estimate.
-  unsigned Other = 1 - Cur;
-  if (LockingEstimate[Other] < 0.0 || ProbeWindows % 6 == 5) {
-    CurrentLocking =
-        Other == 0 ? CommitLocking::Sorted : CommitLocking::Backoff;
-    return;
-  }
-  CurrentLocking = LockingEstimate[0] >= LockingEstimate[1]
-                       ? CommitLocking::Sorted
-                       : CommitLocking::Backoff;
 }
 
 void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
@@ -268,8 +234,7 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
     Body(T);
     bool Committed = T.valid() && T.commit();
     Ctx.txMarkEnd(Committed);
-    // The adaptive controllers (locking prober, scheduler hill-climber)
-    // keep their windows only when the respective controller is on.
+    // The scheduler's hill-climber keeps its window only when it is on.
     if (Committed) {
       ++Counters.Commits;
       if (Scheduled && Config.SchedulerAdaptive)
@@ -277,12 +242,8 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
       if (GPUSTM_UNLIKELY(tracing()))
         emitEvent(Ctx, TxEventKind::Commit, AbortCause::None, simt::InvalidAddr,
                   D.WriteCount, D.WriteCount ? D.LastCommitVersion : 0);
-      if (Config.AdaptiveLocking)
-        lockingController();
     } else {
       ++Counters.Aborts;
-      if (Scheduled && Config.SchedulerAdaptive)
-        ++SchedWindowAborts;
       if (GPUSTM_UNLIKELY(tracing()))
         emitEvent(Ctx, TxEventKind::Abort,
                   D.LastAbort == AbortCause::None ? AbortCause::Explicit

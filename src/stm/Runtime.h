@@ -80,10 +80,6 @@ struct TxDesc {
   LockLog Locks;
   LogView ReadAddrs, ReadVals, WriteAddrs, WriteVals;
   unsigned Lane = 0;
-  /// Commit-locking policy this transaction began with (fixed per attempt;
-  /// the adaptive-locking extension may move the global policy between
-  /// attempts).
-  CommitLocking TxLocking = CommitLocking::Sorted;
 };
 
 /// The GPU-STM runtime (see file comment).
@@ -128,10 +124,6 @@ public:
   /// with EnableScheduler).
   Word schedulerCap() const { return Dev.memory().load(SchedCapAddr); }
 
-  /// Commit-locking policy currently in force (moves only under
-  /// AdaptiveLocking).
-  CommitLocking currentLocking() const { return CurrentLocking; }
-
   /// True while the device has an observer attached (the emit points'
   /// cold-path guard).  Transaction events go to the device's observers
   /// (simt::Observer::onTxEvent); emission is host-side only, so modeled
@@ -153,19 +145,16 @@ private:
 
   /// Transaction scheduler (Section 4.2 future work): slot claim/release
   /// around a transaction, plus the host-side feedback controller that
-  /// retunes the cap from the recent abort rate.
+  /// retunes the cap from the recent commit throughput.
   void schedulerAcquire(simt::ThreadCtx &Ctx);
   void schedulerRelease(simt::ThreadCtx &Ctx);
   void schedulerAdjust();
 
-  /// Adaptive commit-locking probe (Section 4.2 future work): measures
-  /// commit throughput under Sorted then Backoff, then settles on the
-  /// faster policy.
-  void lockingController();
-
   simt::Device &Dev;
   StmConfig Config;
   Validation Val;
+  /// The variant's commit-locking policy (StmConfig::locking()), fixed for
+  /// the runtime's life.
   CommitLocking Locking;
 
   // Global metadata addresses in simulated memory.
@@ -185,20 +174,10 @@ private:
   std::vector<TxDesc> Descs;
   StmCounters Counters;
 
-  // Adaptive-locking state (host side): epsilon-greedy over decayed
-  // per-policy throughput estimates, re-probing the loser periodically so
-  // the choice tracks the workload's contention regime.
-  CommitLocking CurrentLocking = CommitLocking::Sorted;
-  uint64_t ProbeCommitsSeen = 0;
-  uint64_t ProbeStartCycle = 0;
-  uint64_t ProbeWindows = 0;
-  double LockingEstimate[2] = {-1.0, -1.0}; ///< [Sorted, Backoff].
-
   // Scheduler controller state (host side): hill-climbs the cap toward
   // higher commit throughput.
   unsigned SchedMaxCap = 0;
   uint64_t SchedWindowCommits = 0;
-  uint64_t SchedWindowAborts = 0;
   uint64_t SchedWindowStart = 0;
   double SchedPrevThroughput = -1.0;
   bool SchedGrowing = false;

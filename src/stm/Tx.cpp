@@ -36,13 +36,7 @@ void Tx::begin() {
   Desc.WriteCount = 0;
   Desc.LastAbort = AbortCause::None;
   Desc.WriteBloom.clear();
-  Desc.TxLocking = Rt.CurrentLocking;
-  if (Rt.Config.AdaptiveLocking)
-    Desc.Locks.setMode(Desc.TxLocking == CommitLocking::Sorted
-                           ? LockLog::Mode::Sorted
-                           : LockLog::Mode::Append);
-  else
-    Desc.Locks.clear();
+  Desc.Locks.clear();
   Desc.Valid = true;   // line 3 (isOpaque)
   Desc.PassTBV = true; // line 3
   if (Rt.Val == Validation::VBV) {
@@ -621,7 +615,7 @@ bool Tx::commit() {
   bool Ok;
   if (Rt.Val == Validation::VBV)
     Ok = norecCommit();
-  else if (Desc.TxLocking == CommitLocking::Sorted)
+  else if (Rt.Locking == CommitLocking::Sorted)
     Ok = commitSorted();
   else
     Ok = commitBackoff();

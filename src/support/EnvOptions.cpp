@@ -10,24 +10,41 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
 namespace gpustm {
 
-uint64_t envUnsigned(const char *Name, uint64_t Default) {
-  const char *Value = std::getenv(Name);
-  if (!Value || !*Value)
-    return Default;
+const char *parseUnsignedInRange(const char *Text, uint64_t Min, uint64_t Max,
+                                 uint64_t &Out) {
   char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Value, &End, 0);
-  if (End == Value)
-    return Default;
-  // Reject trailing garbage ("8x" must not silently parse as 8); trailing
-  // whitespace is tolerated.
+  errno = 0;
+  unsigned long long Parsed = std::strtoull(Text, &End, 0);
+  if (End == Text)
+    return "is not a number";
   while (std::isspace(static_cast<unsigned char>(*End)))
     ++End;
   if (*End != '\0')
+    return "has trailing garbage";
+  // strtoull accepts "-1" as a huge wrapped value; reject negatives.
+  const char *P = Text;
+  while (std::isspace(static_cast<unsigned char>(*P)))
+    ++P;
+  if (*P == '-')
+    return "is negative";
+  if (errno == ERANGE)
+    return "overflows";
+  if (Parsed < Min || Parsed > Max)
+    return "is out of range";
+  Out = Parsed;
+  return nullptr;
+}
+
+uint64_t envUnsigned(const char *Name, uint64_t Default) {
+  const char *Value = std::getenv(Name);
+  uint64_t Parsed = 0;
+  if (!Value || parseUnsignedInRange(Value, 0, UINT64_MAX, Parsed))
     return Default;
   return Parsed;
 }
@@ -37,32 +54,13 @@ uint64_t envUnsignedInRange(const char *Name, uint64_t Default, uint64_t Min,
   const char *Value = std::getenv(Name);
   if (!Value || !*Value)
     return Default;
-  auto Bad = [&](const char *Why) {
+  uint64_t Parsed = 0;
+  if (const char *Why = parseUnsignedInRange(Value, Min, Max, Parsed))
     reportFatalError(formatString(
         "%s='%s' %s; accepted range is %llu..%llu (unset for default %llu)",
         Name, Value, Why, static_cast<unsigned long long>(Min),
         static_cast<unsigned long long>(Max),
         static_cast<unsigned long long>(Default)));
-  };
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long Parsed = std::strtoull(Value, &End, 0);
-  if (End == Value)
-    Bad("is not a number");
-  while (std::isspace(static_cast<unsigned char>(*End)))
-    ++End;
-  if (*End != '\0')
-    Bad("has trailing garbage");
-  if (errno == ERANGE)
-    Bad("overflows");
-  // strtoull accepts "-1" as a huge wrapped value; reject negatives.
-  const char *P = Value;
-  while (std::isspace(static_cast<unsigned char>(*P)))
-    ++P;
-  if (*P == '-')
-    Bad("is negative");
-  if (Parsed < Min || Parsed > Max)
-    Bad("is out of range");
   return Parsed;
 }
 

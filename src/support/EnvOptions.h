@@ -19,16 +19,25 @@
 
 namespace gpustm {
 
+/// Parse \p Text as an unsigned integer (decimal, or 0x-hex / 0-octal as
+/// strtoull reads them) in [\p Min, \p Max].  On success stores it in
+/// \p Out and returns nullptr; otherwise returns why the text was rejected:
+/// "is not a number", "has trailing garbage" (8x is not read as 8;
+/// trailing whitespace is tolerated), "is negative", "overflows" (uint64)
+/// or "is out of range".  The one numeric parser of environment variables
+/// and command-line flags.
+const char *parseUnsignedInRange(const char *Text, uint64_t Min, uint64_t Max,
+                                 uint64_t &Out);
+
 /// Read an unsigned integer from the environment, or \p Default when the
-/// variable is unset or not fully parsable (trailing garbage such as
-/// GPUSTM_SCALE=8x is rejected rather than silently read as 8).
+/// variable is unset or parseUnsignedInRange rejects it.
 uint64_t envUnsigned(const char *Name, uint64_t Default);
 
 /// Like envUnsigned, but values that feed array sizing must not silently
-/// degrade: a set-but-garbage value (unparsable, trailing junk, or
-/// overflowing uint64) or a parsed value outside [\p Min, \p Max] is a
-/// fatal error naming the variable, the offending value, and the accepted
-/// range.  Unset/empty still returns \p Default.
+/// degrade: a set value that parseUnsignedInRange rejects for
+/// [\p Min, \p Max] is a fatal error naming the variable, the offending
+/// value, why, and the accepted range.  Unset/empty still returns
+/// \p Default.
 uint64_t envUnsignedInRange(const char *Name, uint64_t Default, uint64_t Min,
                             uint64_t Max);
 

@@ -91,7 +91,6 @@ StmConfig gpustm::workloads::resolveStmConfig(const Workload &W,
     SC.SchedulerAdaptive = Config.SchedulerCap == ~0u;
     SC.SchedulerCap = SC.SchedulerAdaptive ? 0 : Config.SchedulerCap;
   }
-  SC.AdaptiveLocking = Config.AdaptiveLocking;
   SC.DebugName = W.name();
   W.tuneStm(SC);
   return SC;

@@ -54,8 +54,6 @@ struct HarnessConfig {
   /// Transaction scheduler (Section 4.2 future work): 0 = disabled,
   /// ~0u = adaptive, otherwise a static concurrency cap.
   unsigned SchedulerCap = 0;
-  /// Adaptive sorting/backoff selection (Section 4.2 future work).
-  bool AdaptiveLocking = false;
   /// Caller-owned trace recorder: when set, the harness drives its
   /// beginRun/noteKernelLaunch/finishRun lifecycle around the run.
   trace::TxTraceRecorder *Recorder = nullptr;

@@ -92,16 +92,6 @@ TEST(ConfigCheck, OptimizedNeedsSharedDataWords) {
   EXPECT_NE(validateStmConfig(C).find("STM-Optimized"), std::string::npos);
 }
 
-TEST(ConfigCheck, AdaptiveLockingConflictsWithDisableSorting) {
-  StmConfig C = baseConfig();
-  C.AdaptiveLocking = true;
-  EXPECT_EQ(validateStmConfig(C), "");
-  C.DisableSorting = true;
-  EXPECT_NE(validateStmConfig(C).find("AdaptiveLocking"), std::string::npos);
-  C.AdaptiveLocking = false;
-  EXPECT_EQ(validateStmConfig(C), "");
-}
-
 TEST(ConfigCheckDeathTest, CheckOrDieEscalatesToFatal) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   StmConfig C = baseConfig();

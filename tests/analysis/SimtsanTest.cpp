@@ -483,6 +483,32 @@ TEST(SimtsanIdentityTest, DetectorOnAndOffProduceIdenticalModeledResults) {
   EXPECT_EQ(Off.SanReports, 0u);
 }
 
+// A deadlocked launch discards its lanes' fibers without unwinding them, and
+// the device hands their stacks back to its pool and later unmaps them.  A
+// clean run after it, on a new device whose stacks may reuse those
+// addresses, must be unaffected.  Under ASan this catches stale redzone
+// poison from the discarded frames (a false stack-buffer-overflow); both
+// steps share one test body because CI's ASan job runs one process per test.
+TEST(SimtsanIdentityTest, CleanRunAfterDeadlockedLaunchIsUnaffected) {
+  {
+    Device Dev(mutationConfig());
+    Simtsan San(quietOptions());
+    Dev.addObserver(&San);
+    LaunchResult R = Dev.launch({1, 32}, [&](ThreadCtx &Ctx) {
+      Ctx.simtIf(Ctx.laneId() < 16, [&] { Ctx.syncThreads(); });
+    });
+    ASSERT_FALSE(R.Completed);
+  }
+  auto W = makeSmall("RA");
+  Simtsan San(quietOptions());
+  HarnessConfig HC = smallConfig(Variant::HVSorting);
+  HC.San = &San;
+  HarnessResult R = runWorkload(*W, HC);
+  EXPECT_TRUE(R.Completed);
+  EXPECT_TRUE(R.Verified);
+  EXPECT_EQ(San.findingCount(), 0u);
+}
+
 /// The bytes trace::writeTrace gives for \p T (written to \p Path, which
 /// is removed again).
 std::string traceBytes(const trace::TxTrace &T, const std::string &Path) {

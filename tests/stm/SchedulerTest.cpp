@@ -156,83 +156,3 @@ TEST(SchedulerTest, AdaptiveControllerKeepsCapHighWhenConflictFree) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Adaptive commit-locking (the paper's other future-work item)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-TEST(AdaptiveLockingTest, ProbesAndSettlesWithCorrectResults) {
-  Device Dev(devConfig());
-  constexpr unsigned NumWords = 256;
-  Addr Data = Dev.hostAlloc(NumWords);
-  LaunchConfig L{8, 64};
-  StmConfig SC = stmConfig();
-  SC.AdaptiveLocking = true;
-  SC.LockingProbeCommits = 64;
-  StmRuntime Stm(Dev, SC, L);
-  LaunchResult R = Dev.launch(L, [&](ThreadCtx &Ctx) {
-    Rng Rand(5 + Ctx.globalThreadId());
-    for (int I = 0; I < 6; ++I) {
-      Addr A = Data + static_cast<Addr>(Rand.nextBelow(NumWords));
-      Stm.transaction(Ctx, [&](Tx &T) {
-        Word V = T.read(A);
-        if (!T.valid())
-          return;
-        T.write(A, V + 1);
-      });
-    }
-  });
-  ASSERT_TRUE(R.Completed);
-  uint64_t Sum = 0;
-  for (unsigned I = 0; I < NumWords; ++I)
-    Sum += Dev.memory().load(Data + I);
-  EXPECT_EQ(Sum, 8u * 64u * 6u);
-  // Enough commits ran to finish both probe windows and settle.
-  EXPECT_GT(Stm.counters().Commits, 2u * 64u);
-  CommitLocking Final = Stm.currentLocking();
-  EXPECT_TRUE(Final == CommitLocking::Sorted ||
-              Final == CommitLocking::Backoff);
-}
-
-TEST(AdaptiveLockingTest, MixedPolicyWindowsPreserveConservation) {
-  // Force many policy flips by using a tiny probe window; transactions
-  // started under different policies overlap and must still serialize.
-  Device Dev(devConfig());
-  constexpr unsigned NumWords = 64;
-  constexpr Word Initial = 100;
-  Addr Data = Dev.hostAlloc(NumWords);
-  Dev.hostFill(Data, NumWords, Initial);
-  LaunchConfig L{4, 64};
-  StmConfig SC = stmConfig();
-  SC.AdaptiveLocking = true;
-  SC.LockingProbeCommits = 16;
-  StmRuntime Stm(Dev, SC, L);
-  LaunchResult R = Dev.launch(L, [&](ThreadCtx &Ctx) {
-    Rng Rand(9 + Ctx.globalThreadId());
-    for (int I = 0; I < 4; ++I) {
-      unsigned From = static_cast<unsigned>(Rand.nextBelow(NumWords));
-      unsigned To =
-          (From + 1 + static_cast<unsigned>(Rand.nextBelow(NumWords - 1))) %
-          NumWords;
-      Stm.transaction(Ctx, [&](Tx &T) {
-        Word F = T.read(Data + From);
-        if (!T.valid())
-          return;
-        Word G = T.read(Data + To);
-        if (!T.valid())
-          return;
-        T.write(Data + From, F - 1);
-        T.write(Data + To, G + 1);
-      });
-    }
-  });
-  ASSERT_TRUE(R.Completed);
-  uint64_t Sum = 0;
-  for (unsigned I = 0; I < NumWords; ++I)
-    Sum += Dev.memory().load(Data + I);
-  EXPECT_EQ(Sum, uint64_t(NumWords) * Initial);
-}
-
-} // namespace

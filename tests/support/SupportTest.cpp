@@ -189,6 +189,49 @@ TEST(EnvOptionsTest, RangeCheckedAcceptsValidAndDefaults) {
   ::unsetenv("GPUSTM_TEST_OPT");
 }
 
+TEST(EnvOptionsTest, ParseUnsignedInRangeAcceptsAndRejects) {
+  // The one numeric parser behind GPUSTM_* variables and CLI flags.
+  struct Case {
+    const char *Text;
+    uint64_t Min, Max;
+    const char *Why; ///< nullptr = accepted.
+    uint64_t Value;
+  };
+  const Case Cases[] = {
+      {"42", 0, 100, nullptr, 42},
+      {"0", 0, 100, nullptr, 0},
+      {"100", 1, 100, nullptr, 100},
+      {"0x10", 0, 100, nullptr, 16},
+      {" 7 ", 0, 100, nullptr, 7},
+      {"+5", 0, 100, nullptr, 5},
+      {"18446744073709551615", 0, UINT64_MAX, nullptr, UINT64_MAX},
+      {"", 0, 100, "is not a number", 0},
+      {"abc", 0, 100, "is not a number", 0},
+      {"-", 0, 100, "is not a number", 0},
+      {"two", 0, 100, "is not a number", 0},
+      {"3x", 0, 100, "has trailing garbage", 0},
+      {"8 9", 0, 100, "has trailing garbage", 0},
+      {"1.5", 0, 100, "has trailing garbage", 0},
+      {"-1", 0, 100, "is negative", 0},
+      {" -0", 0, 100, "is negative", 0},
+      {"18446744073709551616", 0, UINT64_MAX, "overflows", 0},
+      {"0", 1, 100, "is out of range", 0},
+      {"101", 1, 100, "is out of range", 0},
+  };
+  for (const Case &C : Cases) {
+    uint64_t Out = 12345;
+    const char *Why = parseUnsignedInRange(C.Text, C.Min, C.Max, Out);
+    if (!C.Why) {
+      EXPECT_EQ(Why, nullptr) << "'" << C.Text << "': " << Why;
+      EXPECT_EQ(Out, C.Value) << C.Text;
+    } else {
+      ASSERT_NE(Why, nullptr) << "'" << C.Text << "' accepted";
+      EXPECT_STREQ(Why, C.Why) << C.Text;
+      EXPECT_EQ(Out, 12345u) << "rejected '" << C.Text << "' wrote Out";
+    }
+  }
+}
+
 TEST(EnvOptionsTest, RangeCheckedRejectsBadValues) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   // Values that size arrays must not silently degrade: set-but-bad is

@@ -22,8 +22,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -78,17 +76,33 @@ struct RunOptions {
 /// Parse one flag shared by run/one/repro; returns 0 when consumed,
 /// 2 on error, -1 when the flag is unknown.
 int parseRunFlag(Args &A, const std::string &Arg, RunOptions &R) {
+  const char *F = Arg.c_str();
+  auto Num = [&](auto &Out, uint64_t Min, uint64_t Max) {
+    return A.number(F, Out, Min, Max) ? 0 : 2;
+  };
   std::string Val;
-  if (Arg == "--seeds") {
-    if (!A.value("--seeds", Val))
-      return 2;
-    R.Seeds = std::strtoull(Val.c_str(), nullptr, 10);
-  } else if (Arg == "--start") {
-    if (!A.value("--start", Val))
-      return 2;
-    R.Start = std::strtoull(Val.c_str(), nullptr, 10);
-  } else if (Arg == "-v" || Arg == "--variant") {
-    if (!A.value(Arg.c_str(), Val))
+  if (Arg == "--seeds")
+    return Num(R.Seeds, 1, tools::MaxSeeds);
+  if (Arg == "--start")
+    return Num(R.Start, 0, UINT64_MAX);
+  if (Arg == "--trace-sample")
+    return Num(R.Fuzz.TraceSamplePeriod, 0, UINT32_MAX);
+  if (Arg == "--jobs")
+    return Num(R.Jobs, 1, 256);
+  if (Arg == "--watchdog")
+    return Num(R.Fuzz.WatchdogRounds, 1, UINT64_MAX);
+  if (Arg == "--max-failures")
+    return Num(R.MaxFailures, 0, UINT32_MAX);
+  if (Arg == "--wmm-seed") {
+    R.Fuzz.Wmm = true;
+    return Num(R.Fuzz.WmmSeed, 0, UINT64_MAX);
+  }
+  if (Arg == "--wmm-buffer") {
+    R.Fuzz.Wmm = true;
+    return Num(R.Fuzz.WmmBuffer, 0, 64);
+  }
+  if (Arg == "-v" || Arg == "--variant") {
+    if (!A.value(F, Val))
       return 2;
     stm::Variant Kind;
     if (!stm::parseVariant(Val, Kind)) {
@@ -96,48 +110,17 @@ int parseRunFlag(Args &A, const std::string &Arg, RunOptions &R) {
       return 2;
     }
     R.Fuzz.Variants.push_back(Kind);
-  } else if (Arg == "--trace-sample") {
-    if (!A.value("--trace-sample", Val))
-      return 2;
-    R.Fuzz.TraceSamplePeriod =
-        static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
-  } else if (Arg == "--jobs") {
-    if (!A.value("--jobs", Val))
-      return 2;
-    R.Jobs = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
-  } else if (Arg == "--watchdog") {
-    if (!A.value("--watchdog", Val))
-      return 2;
-    R.Fuzz.WatchdogRounds = std::strtoull(Val.c_str(), nullptr, 10);
   } else if (Arg == "--digest-out") {
-    if (!A.value("--digest-out", Val))
+    if (!A.value(F, R.DigestOut))
       return 2;
-    R.DigestOut = Val;
   } else if (Arg == "--repro-out") {
-    if (!A.value("--repro-out", Val))
+    if (!A.value(F, R.ReproOut))
       return 2;
-    R.ReproOut = Val;
   } else if (Arg == "--no-shrink") {
     R.Shrink = false;
-  } else if (Arg == "--max-failures") {
-    if (!A.value("--max-failures", Val))
-      return 2;
-    R.MaxFailures =
-        static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
   } else if (Arg == "--check-determinism") {
     R.Fuzz.CheckDeterminism = true;
   } else if (Arg == "--wmm") {
-    R.Fuzz.Wmm = true;
-  } else if (Arg == "--wmm-seed") {
-    if (!A.value("--wmm-seed", Val))
-      return 2;
-    R.Fuzz.WmmSeed = std::strtoull(Val.c_str(), nullptr, 10);
-    R.Fuzz.Wmm = true;
-  } else if (Arg == "--wmm-buffer") {
-    if (!A.value("--wmm-buffer", Val))
-      return 2;
-    R.Fuzz.WmmBuffer =
-        static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     R.Fuzz.Wmm = true;
   } else {
     return -1;
@@ -254,7 +237,9 @@ int cmdRun(Args &A) {
 int cmdOne(Args &A, bool Repro) {
   if (A.done())
     return usage(A.Argv[0]);
-  uint64_t Seed = std::strtoull(A.next().c_str(), nullptr, 10);
+  uint64_t Seed = 0;
+  if (!A.number("seed", Seed))
+    return 2;
   RunOptions Opts;
   while (!A.done()) {
     std::string Arg = A.next();
@@ -285,7 +270,9 @@ int cmdOne(Args &A, bool Repro) {
 int cmdShow(Args &A) {
   if (A.done())
     return usage(A.Argv[0]);
-  uint64_t Seed = std::strtoull(A.next().c_str(), nullptr, 10);
+  uint64_t Seed = 0;
+  if (!A.number("seed", Seed))
+    return 2;
   fuzz::FuzzProgram P = fuzz::generateProgram(Seed);
   std::printf("%s\n", P.summary().c_str());
   for (size_t T = 0; T < P.Tasks.size(); ++T) {

@@ -26,8 +26,6 @@
 #include "workloads/LintDriver.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -122,13 +120,11 @@ int cmdCheck(Args &A) {
         return 2;
       }
     } else if (Arg == "--scale") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--scale", Scale, 1, tools::MaxScale))
         return 2;
-      Scale = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     } else if (Arg == "--locks") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--locks", NumLocks, 1, tools::MaxLocks))
         return 2;
-      NumLocks = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "--disable-sorting") {
       DisableSorting = true;
     } else if (Arg == "-o") {
@@ -150,20 +146,18 @@ int cmdCheck(Args &A) {
 }
 
 int cmdMatrix(Args &A) {
-  std::string Out, Val;
+  std::string Out;
   unsigned Scale = 1;
   size_t NumLocks = 1u << 16;
 
   while (!A.done()) {
     std::string Arg = A.next();
     if (Arg == "--scale") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--scale", Scale, 1, tools::MaxScale))
         return 2;
-      Scale = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     } else if (Arg == "--locks") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--locks", NumLocks, 1, tools::MaxLocks))
         return 2;
-      NumLocks = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "-o") {
       if (!A.value(Arg.c_str(), Out))
         return 2;
@@ -182,20 +176,18 @@ int cmdMatrix(Args &A) {
 }
 
 int cmdFuzz(Args &A) {
-  std::string Out, Val;
+  std::string Out;
   unsigned Seeds = 16;
   uint64_t Start = 1;
 
   while (!A.done()) {
     std::string Arg = A.next();
     if (Arg == "--seeds") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--seeds", Seeds, 1, tools::MaxSeeds))
         return 2;
-      Seeds = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     } else if (Arg == "--start") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--start", Start))
         return 2;
-      Start = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "-o") {
       if (!A.value(Arg.c_str(), Out))
         return 2;
@@ -209,14 +201,8 @@ int cmdFuzz(Args &A) {
     fuzz::FuzzProgram P = fuzz::generateProgram(Seed);
     for (stm::Variant Kind : fuzz::allVariants()) {
       fuzz::FuzzWorkload W(P);
-      workloads::HarnessConfig HC;
-      HC.Kind = Kind;
-      HC.Launches.push_back(simt::LaunchConfig{P.GridDim, P.BlockDim});
-      HC.NumLocks = P.NumLocks;
-      HC.CoalescedLogs = P.CoalescedLogs;
-      HC.SchedulerCap = P.SchedulerCap;
-      HC.AdaptiveLocking = P.AdaptiveLocking;
-      workloads::LintDriverResult R = workloads::lintWorkload(W, HC);
+      workloads::LintDriverResult R = workloads::lintWorkload(
+          W, fuzz::makeConfig(P, Kind, fuzz::FuzzOptions()));
       if (!R.Modeled) {
         std::fprintf(stderr, "stmlint: fuzz seed %llu has no model\n",
                      static_cast<unsigned long long>(Seed));

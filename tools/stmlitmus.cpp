@@ -16,16 +16,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "wmm/Litmus.h"
+#include "Args.h"
 #include "support/Format.h"
+#include "wmm/Litmus.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace gpustm;
+using tools::Args;
 
 namespace {
 
@@ -54,30 +54,21 @@ int cmdList() {
   return 0;
 }
 
-int cmdRun(int Argc, char **Argv) {
+int cmdRun(Args &A) {
   wmm::LitmusRunOptions Opt;
   bool Verbose = false;
   std::vector<std::string> Names;
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto value = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "stmlitmus: %s needs a value\n", Flag);
-        std::exit(2);
-      }
-      return Argv[++I];
-    };
+  while (!A.done()) {
+    std::string Arg = A.next();
+    bool Ok = true;
     if (Arg == "--seed")
-      Opt.Seed = std::strtoull(value("--seed"), nullptr, 10);
+      Ok = A.number("--seed", Opt.Seed);
     else if (Arg == "--buffer")
-      Opt.StoreBufferCap =
-          static_cast<unsigned>(std::strtoul(value("--buffer"), nullptr, 10));
+      Ok = A.number("--buffer", Opt.StoreBufferCap, 0, 64);
     else if (Arg == "--max-executions")
-      Opt.MaxExecutions = static_cast<unsigned>(
-          std::strtoul(value("--max-executions"), nullptr, 10));
+      Ok = A.number("--max-executions", Opt.MaxExecutions, 1, UINT32_MAX);
     else if (Arg == "--random")
-      Opt.RandomExecutions =
-          static_cast<unsigned>(std::strtoul(value("--random"), nullptr, 10));
+      Ok = A.number("--random", Opt.RandomExecutions);
     else if (Arg == "-v" || Arg == "--verbose")
       Verbose = true;
     else if (!Arg.empty() && Arg[0] == '-') {
@@ -85,6 +76,8 @@ int cmdRun(int Argc, char **Argv) {
       return 2;
     } else
       Names.push_back(Arg);
+    if (!Ok)
+      return 2;
   }
 
   std::vector<wmm::LitmusTest> Suite = wmm::builtinSuite();
@@ -134,8 +127,10 @@ int main(int Argc, char **Argv) {
   std::string Cmd = Argv[1];
   if (Cmd == "list")
     return cmdList();
-  if (Cmd == "run")
-    return cmdRun(Argc, Argv);
+  if (Cmd == "run") {
+    Args A{"stmlitmus", Argc, Argv};
+    return cmdRun(A);
+  }
   std::fprintf(stderr, "stmlitmus: unknown command '%s'\n", Cmd.c_str());
   return usage(Argv[0]);
 }

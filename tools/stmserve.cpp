@@ -20,20 +20,19 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Args.h"
 #include "serve/Server.h"
-#include "support/EnvOptions.h"
 #include "support/Format.h"
 #include "workloads/All.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace gpustm;
 using namespace gpustm::serve;
+using tools::Args;
 
 namespace {
 
@@ -276,33 +275,26 @@ int main(int Argc, char **Argv) {
   bool OneShot = false;
   std::string OutPath;
 
-  auto value = [&](int &I, const char *Flag) -> const char * {
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "stmserve: %s needs a value\n", Flag);
-      std::exit(2);
-    }
-    return Argv[++I];
-  };
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+  // --workers, --queue and --batch take the ranges of their GPUSTM_SERVER_*
+  // variables.
+  Args A{"stmserve", Argc, Argv};
+  while (!A.done()) {
+    std::string Arg = A.next();
+    bool Ok = true;
     if (Arg == "--script")
-      Stream.Script = value(I, "--script");
+      Ok = A.value("--script", Stream.Script);
     else if (Arg == "--builtin")
-      Stream.Builtin = value(I, "--builtin");
+      Ok = A.value("--builtin", Stream.Builtin);
     else if (Arg == "--seed")
-      Stream.Seed = std::strtoull(value(I, "--seed"), nullptr, 10);
+      Ok = A.number("--seed", Stream.Seed);
     else if (Arg == "--count")
-      Stream.Count =
-          static_cast<unsigned>(std::strtoul(value(I, "--count"), nullptr, 10));
+      Ok = A.number("--count", Stream.Count, 1, 1u << 20);
     else if (Arg == "--workers")
-      Config.Workers = static_cast<unsigned>(
-          std::strtoul(value(I, "--workers"), nullptr, 10));
+      Ok = A.number("--workers", Config.Workers, 1, 256);
     else if (Arg == "--queue")
-      Config.QueueDepth =
-          static_cast<unsigned>(std::strtoul(value(I, "--queue"), nullptr, 10));
+      Ok = A.number("--queue", Config.QueueDepth, 1, 1u << 20);
     else if (Arg == "--batch")
-      Config.BatchCap =
-          static_cast<unsigned>(std::strtoul(value(I, "--batch"), nullptr, 10));
+      Ok = A.number("--batch", Config.BatchCap, 1, 4096);
     else if (Arg == "--no-cache")
       Config.CacheResults = 0;
     else if (Arg == "--no-verify")
@@ -310,11 +302,13 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--oneshot")
       OneShot = true;
     else if (Arg == "-o" || Arg == "--out")
-      OutPath = value(I, "-o");
+      Ok = A.value(Arg.c_str(), OutPath);
     else {
       std::fprintf(stderr, "stmserve: unknown option '%s'\n", Arg.c_str());
       return usage(Argv[0]);
     }
+    if (!Ok)
+      return 2;
   }
 
   std::vector<Request> Requests;

@@ -26,8 +26,6 @@
 #include "workloads/Harness.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -82,13 +80,11 @@ int cmdRecord(Args &A) {
         return 2;
       }
     } else if (Arg == "--scale") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--scale", Scale, 1, tools::MaxScale))
         return 2;
-      Scale = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     } else if (Arg == "--locks") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--locks", NumLocks, 1, tools::MaxLocks))
         return 2;
-      NumLocks = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "-o" || Arg == "--out") {
       if (!A.value(Arg.c_str(), Out))
         return 2;
@@ -178,11 +174,9 @@ int cmdReport(Args &A) {
   size_t TopN = 10;
   while (!A.done()) {
     std::string Arg = A.next();
-    std::string Val;
     if (Arg == "--top") {
-      if (!A.value("--top", Val))
+      if (!A.number("--top", TopN, 0, UINT32_MAX))
         return 2;
-      TopN = std::strtoul(Val.c_str(), nullptr, 10);
     } else {
       std::fprintf(stderr, "stmtrace: unknown report option '%s'\n",
                    Arg.c_str());
@@ -251,17 +245,14 @@ int cmdSan(Args &A) {
         return 2;
       }
     } else if (Arg == "--scale") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--scale", Scale, 1, tools::MaxScale))
         return 2;
-      Scale = static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
     } else if (Arg == "--locks") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--locks", NumLocks, 1, tools::MaxLocks))
         return 2;
-      NumLocks = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "--max-reports") {
-      if (!A.value(Arg.c_str(), Val))
+      if (!A.number("--max-reports", MaxReports))
         return 2;
-      MaxReports = std::strtoull(Val.c_str(), nullptr, 10);
     } else if (Arg == "-o" || Arg == "--out") {
       if (!A.value(Arg.c_str(), Out))
         return 2;
