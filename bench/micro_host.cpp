@@ -235,9 +235,9 @@ void BM_WatchpointWake(benchmark::State &State) {
         if (Ctx.blockIdx() == 0)
           Ctx.store(Mine, K);
         for (;;) {
-          if (Ctx.load(Theirs) >= K)
+          if (Ctx.load(Theirs) == K)
             break;
-          Ctx.memWaitGreaterEq(Theirs, K);
+          Ctx.memWaitEquals(Theirs, K);
         }
         if (Ctx.blockIdx() != 0)
           Ctx.store(Mine, K);

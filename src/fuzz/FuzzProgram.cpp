@@ -16,11 +16,11 @@ std::string FuzzProgram::summary() const {
   return formatString(
       "seed=%llu grid=%u block=%u warp=%u sms=%u tasks=%u txs=%u ops=%zu "
       "shared=%u locks=%zu rcap=%u wcap=%u llog=%ux%u coal=%d prelock=%d "
-      "sched=%u schedfuzz=%llu",
+      "schedfuzz=%llu",
       static_cast<unsigned long long>(Seed), GridDim, BlockDim, WarpSize,
       NumSMs, NumTasks, totalTxs(), totalOps(), SharedWords, NumLocks,
       ReadSetCap, WriteSetCap, LockLogBuckets, LockLogBucketCap,
-      CoalescedLogs ? 1 : 0, PreLockValidation ? 1 : 0, SchedulerCap,
+      CoalescedLogs ? 1 : 0, PreLockValidation ? 1 : 0,
       static_cast<unsigned long long>(SchedFuzzSeed));
 }
 
@@ -71,17 +71,9 @@ FuzzProgram gpustm::fuzz::generateProgram(uint64_t Seed) {
       MaxOpsPerTx + (TightCaps ? 0u : static_cast<unsigned>(R.nextBelow(17)));
   P.CoalescedLogs = R.nextBool(0.5);
   P.PreLockValidation = R.nextBool(0.8);
-  double SchedRoll = R.nextDouble();
-  if (SchedRoll < 0.6)
-    P.SchedulerCap = 0;
-  else if (SchedRoll < 0.8)
-    P.SchedulerCap = ~0u; // Adaptive controller.
-  else
-    P.SchedulerCap =
-        static_cast<unsigned>(R.nextInRange(1, std::max(1u, TotalThreads)));
-  // This draw once picked the adaptive commit-locking knob, which is gone.
-  // It stays, its value discarded, so every seed still names the same
-  // program.
+  // Draws of deleted knobs, discarded so every seed still names its program.
+  if (R.nextDouble() >= 0.8)
+    (void)R.nextInRange(1, std::max(1u, TotalThreads));
   (void)R.nextBool(0.15);
   P.SchedFuzzSeed = R.nextBool(0.5) ? R.next() | 1 : 0;
   P.NativeComputePerTask = static_cast<uint32_t>(R.nextBelow(8));

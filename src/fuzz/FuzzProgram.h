@@ -109,8 +109,6 @@ struct FuzzProgram {
   unsigned LockLogBucketCap = 16;
   bool CoalescedLogs = true;
   bool PreLockValidation = true;
-  /// Harness semantics: 0 = scheduler off, ~0u = adaptive, else static cap.
-  unsigned SchedulerCap = 0;
 
   // Device shape.
   unsigned NumSMs = 2;

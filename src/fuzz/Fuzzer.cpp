@@ -61,7 +61,6 @@ HarnessConfig gpustm::fuzz::makeConfig(const FuzzProgram &P,
   HC.Launches.push_back(simt::LaunchConfig{P.GridDim, P.BlockDim});
   HC.NumLocks = P.NumLocks;
   HC.CoalescedLogs = P.CoalescedLogs;
-  HC.SchedulerCap = P.SchedulerCap;
   HC.DisableSorting = O.DisableSorting;
   HC.DeviceCfg.WarpSize = P.WarpSize;
   HC.DeviceCfg.NumSMs = P.NumSMs;
@@ -343,8 +342,6 @@ FuzzProgram gpustm::fuzz::shrinkProgram(const FuzzProgram &P,
     };
     if (S.Best.SchedFuzzSeed != 0)
       tryKnob([](FuzzProgram &C) { C.SchedFuzzSeed = 0; });
-    if (S.Best.SchedulerCap != 0)
-      tryKnob([](FuzzProgram &C) { C.SchedulerCap = 0; });
     if (S.Best.NativeComputePerTask != 0)
       tryKnob([](FuzzProgram &C) { C.NativeComputePerTask = 0; });
     if (S.Best.GridDim > 1)

@@ -26,8 +26,9 @@ Device::Device(const DeviceConfig &Config)
     reportFatalError("warp size must be in [1, 64]");
   if (Config.NumSMs < 1)
     reportFatalError("device needs at least one SM");
-  SchedSeed = Config.SchedFuzzSeed != 0 ? Config.SchedFuzzSeed
-                                        : envUnsigned("GPUSTM_SCHED_FUZZ", 0);
+  SchedSeed = Config.SchedFuzzSeed != 0
+                  ? Config.SchedFuzzSeed
+                  : envUnsignedInRange("GPUSTM_SCHED_FUZZ", 0, 0, ~0ull);
 }
 
 /// Stateless mix of the schedule-fuzz seed with deterministic scheduler
@@ -141,8 +142,8 @@ bool Device::retireFinishedBlocks(SmState &Sm) {
   bool Removed = false;
   for (size_t BI = 0; BI < Sm.Blocks.size();) {
     BlockState &B = *Sm.Blocks[BI];
-    // LiveLanes counts unfinished lanes across the whole block, so the
-    // per-warp allFinished() scan reduces to one comparison.
+    // LiveLanes counts unfinished lanes across the whole block, so no
+    // per-warp finished-lane scan is needed.
     if (B.LiveLanes != 0) {
       ++BI;
       continue;
@@ -423,7 +424,6 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   Sms.resize(Config.NumSMs);
   NextPendingBlock = 0;
   LiveBlocks = 0;
-  RoundsExecuted = 0;
   Watchpoints.clear();
   CurrentIssueCycle = 0;
   Counters = SimCounters();
@@ -467,7 +467,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   for (SmState &Sm : Sms)
     Elapsed = std::max(Elapsed, Sm.Clock);
   Result.ElapsedCycles = Elapsed;
-  Result.TotalRounds = RoundsExecuted;
+  Result.TotalRounds = Counters.Rounds;
 
   StatsSet &S = Result.Stats;
   for (unsigned P = 0; P < NumPhases; ++P)
@@ -547,15 +547,15 @@ void Device::runSerialLoop(LaunchResult &Result) {
     Sm.RoundRobin =
         static_cast<unsigned>((IssuedIdx + 1) % Sm.WarpList.size());
 
-    ++RoundsExecuted;
-    if (RoundsExecuted > Config.WatchdogRounds) {
+    // executeRound counted this round in Counters.Rounds.
+    if (Counters.Rounds > Config.WatchdogRounds) {
       Result.WatchdogTripped = true;
       discardInFlight();
       break;
     }
     // Age out long-buffered stores so no spin loop waits forever on a
     // value that exists only in another lane's buffer.
-    if (GPUSTM_UNLIKELY(ActiveWmm != nullptr) && (RoundsExecuted & 255) == 0)
+    if (GPUSTM_UNLIKELY(ActiveWmm != nullptr) && (Counters.Rounds & 255) == 0)
       ActiveWmm->tick();
 
     // Retirement (and the block-activation rescan it may unlock) only

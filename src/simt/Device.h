@@ -169,12 +169,9 @@ public:
   /// Every observer assumes SC memory: a launch with an observer attached
   /// runs without the model (one-line warning per process).
   void setWmmModel(wmm::MemModel *M) { Wmm = M; }
-  /// The attached weak-memory model (null when none).
-  wmm::MemModel *wmmModel() const { return Wmm; }
 
   /// Current simulated time (issue cycle of the executing warp round).
-  /// Host-side controllers (e.g. the STM's adaptive transaction scheduler)
-  /// use this to measure throughput in modeled cycles.
+  /// Observer events and diagnostics stamp themselves with it.
   uint64_t now() const { return CurrentIssueCycle; }
 
   /// Host-side helpers (the CPU side of the CUDA API in Figure 1).
@@ -188,7 +185,7 @@ private:
   friend class ThreadCtx;
 
   /// A parked memWait: lane LaneIdx of W resumes when the watched word
-  /// equals Aux (BitClear=false) or has all Aux bits clear (BitClear=true).
+  /// meets (Wait, Aux): equals Aux, or has all Aux bits clear.
   struct WatchEntry {
     Warp *W;
     unsigned LaneIdx;
@@ -282,7 +279,6 @@ private:
   uint64_t CurrentIssueCycle = 0;
   unsigned NextPendingBlock = 0;
   unsigned LiveBlocks = 0;
-  uint64_t RoundsExecuted = 0;
   /// Attached weak-memory model (see setWmmModel) and the launch-scoped
   /// active pointer: non-null only while a launch is actually relaxing
   /// memory, so every hot-path hook is one pointer test when off.
@@ -293,7 +289,6 @@ private:
   SimCounters Counters;
   uint64_t PhaseTotals[NumPhases] = {};
   uint64_t AbortedTotal = 0;
-  StatsSet LaunchStats;
 };
 
 } // namespace simt

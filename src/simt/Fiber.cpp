@@ -145,7 +145,6 @@ void Fiber::init(FiberStack S, EntryFn E, void *A) {
 void Fiber::resume() {
   assert(!Finished && "resuming a finished fiber");
   assert(CurrentFiberTLS == nullptr && "nested fiber resume");
-  Started = true;
   CurrentFiberTLS = this;
   gpustm_fiber_resume(&HostSP, FiberSP);
   CurrentFiberTLS = nullptr;

@@ -144,7 +144,6 @@ public:
   static Fiber *current();
 
   bool isFinished() const { return Finished; }
-  bool isStarted() const { return Started; }
   const FiberStack &stack() const { return Stack; }
 
   /// The suspended context's stack pointer (the frame resume() will pop).
@@ -169,7 +168,7 @@ private:
   void *Arg = nullptr;
   void *FiberSP = nullptr; ///< Saved stack pointer while suspended.
   void *HostSP = nullptr;  ///< Saved host stack pointer while running.
-  bool Started = false;
+  bool Started = false; ///< ucontext fallback: context built on first resume.
   bool Finished = false;
 };
 

@@ -43,10 +43,10 @@ enum class MemClass : uint8_t {
   TxData, ///< Transactional access to a program data word (TXRead's load,
           ///< validation re-reads, commit write-back stores, CGL-mode
           ///< direct accesses).
-  Meta,   ///< STM metadata: logs, version-lock words, clocks, tickets,
-          ///< scheduler words.  Excluded from race detection (the paper's
-          ///< algorithm reads lock words racily by design) but drives the
-          ///< lock-ownership invariant checks.
+  Meta,   ///< STM metadata: logs, version-lock words, clocks, CGL
+          ///< tickets, backoff tokens.  Excluded from race detection (the
+          ///< paper's algorithm reads lock words racily by design) but
+          ///< drives the lock-ownership invariant checks.
 };
 
 /// The memory operation category an access event reports.

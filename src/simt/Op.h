@@ -44,11 +44,8 @@ enum class OpKind : uint8_t {
 
 /// Wait condition of a MemWait operation.
 enum class MemWaitKind : uint8_t {
-  Equals,    ///< Resume when *A == operand.
-  BitClear,  ///< Resume when (*A & operand) == 0.
-  NotEquals, ///< Resume when *A != operand.
-  GreaterEq  ///< Resume when *A >= operand (unsigned); safe for monotonic
-             ///< counters that may skip past the target between rounds.
+  Equals,  ///< Resume when *A == operand.
+  BitClear ///< Resume when (*A & operand) == 0.
 };
 
 /// One yielded device operation.
@@ -67,10 +64,6 @@ inline bool memWaitSatisfied(MemWaitKind Kind, Word Value, Word Operand) {
     return Value == Operand;
   case MemWaitKind::BitClear:
     return (Value & Operand) == 0;
-  case MemWaitKind::NotEquals:
-    return Value != Operand;
-  case MemWaitKind::GreaterEq:
-    return Value >= Operand;
   }
   return true;
 }

@@ -144,12 +144,12 @@ void ThreadCtx::store(Addr A, Word V) {
   yieldOp(O);
 }
 
-Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
+template <typename RmwFn> Word ThreadCtx::atomicRmw(Addr A, RmwFn Rmw) {
   GPUSTM_CHECK_BOUNDS(A, Atomic);
   wmm::MemModel *M = Dev->ActiveWmm;
   if (GPUSTM_UNLIKELY(M != nullptr))
     M->preAtomic(globalThreadId(), A);
-  Word Old = Dev->memory().atomicCAS(A, Expected, Desired);
+  Word Old = Rmw(Dev->memory());
   GPUSTM_REPORT_ACCESS(A, Atomic);
   Dev->notifyWrite(A);
   if (GPUSTM_UNLIKELY(M != nullptr))
@@ -160,78 +160,27 @@ Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
   O.Address = A;
   yieldOp(O);
   return Old;
+}
+
+Word ThreadCtx::atomicCAS(Addr A, Word Expected, Word Desired) {
+  return atomicRmw(
+      A, [&](Memory &Mem) { return Mem.atomicCAS(A, Expected, Desired); });
 }
 
 Word ThreadCtx::atomicAdd(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Atomic);
-  wmm::MemModel *M = Dev->ActiveWmm;
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->preAtomic(globalThreadId(), A);
-  Word Old = Dev->memory().atomicAdd(A, V);
-  GPUSTM_REPORT_ACCESS(A, Atomic);
-  Dev->notifyWrite(A);
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->postAtomic(globalThreadId(), A);
-  ++Dev->Counters.Atomics;
-  Op O;
-  O.Kind = OpKind::Atomic;
-  O.Address = A;
-  yieldOp(O);
-  return Old;
+  return atomicRmw(A, [&](Memory &Mem) { return Mem.atomicAdd(A, V); });
 }
 
 Word ThreadCtx::atomicOr(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Atomic);
-  wmm::MemModel *M = Dev->ActiveWmm;
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->preAtomic(globalThreadId(), A);
-  Word Old = Dev->memory().atomicOr(A, V);
-  GPUSTM_REPORT_ACCESS(A, Atomic);
-  Dev->notifyWrite(A);
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->postAtomic(globalThreadId(), A);
-  ++Dev->Counters.Atomics;
-  Op O;
-  O.Kind = OpKind::Atomic;
-  O.Address = A;
-  yieldOp(O);
-  return Old;
+  return atomicRmw(A, [&](Memory &Mem) { return Mem.atomicOr(A, V); });
 }
 
 Word ThreadCtx::atomicExch(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Atomic);
-  wmm::MemModel *M = Dev->ActiveWmm;
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->preAtomic(globalThreadId(), A);
-  Word Old = Dev->memory().atomicExch(A, V);
-  GPUSTM_REPORT_ACCESS(A, Atomic);
-  Dev->notifyWrite(A);
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->postAtomic(globalThreadId(), A);
-  ++Dev->Counters.Atomics;
-  Op O;
-  O.Kind = OpKind::Atomic;
-  O.Address = A;
-  yieldOp(O);
-  return Old;
+  return atomicRmw(A, [&](Memory &Mem) { return Mem.atomicExch(A, V); });
 }
 
 Word ThreadCtx::atomicMin(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Atomic);
-  wmm::MemModel *M = Dev->ActiveWmm;
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->preAtomic(globalThreadId(), A);
-  Word Old = Dev->memory().atomicMin(A, V);
-  GPUSTM_REPORT_ACCESS(A, Atomic);
-  Dev->notifyWrite(A);
-  if (GPUSTM_UNLIKELY(M != nullptr))
-    M->postAtomic(globalThreadId(), A);
-  ++Dev->Counters.Atomics;
-  Op O;
-  O.Kind = OpKind::Atomic;
-  O.Address = A;
-  yieldOp(O);
-  return Old;
+  return atomicRmw(A, [&](Memory &Mem) { return Mem.atomicMin(A, V); });
 }
 
 void ThreadCtx::threadfence() {
@@ -255,7 +204,7 @@ void ThreadCtx::compute(uint32_t Cycles) {
   yieldOp(O);
 }
 
-void ThreadCtx::memWaitEquals(Addr A, Word V) {
+void ThreadCtx::memWait(Addr A, MemWaitKind Kind, Word Operand) {
   GPUSTM_CHECK_BOUNDS(A, Load);
   // The wait's poll reads real memory (Warp.cpp), so under weak memory it
   // is a fresh observation of A: drain own same-address entries and bind
@@ -265,54 +214,17 @@ void ThreadCtx::memWaitEquals(Addr A, Word V) {
   Op O;
   O.Kind = OpKind::MemWait;
   O.Address = A;
-  O.Cycles = V;
-  O.Wait = MemWaitKind::Equals;
+  O.Cycles = Operand;
+  O.Wait = Kind;
   yieldOp(O);
+}
+
+void ThreadCtx::memWaitEquals(Addr A, Word V) {
+  memWait(A, MemWaitKind::Equals, V);
 }
 
 void ThreadCtx::memWaitBitClear(Addr A, Word Mask) {
-  GPUSTM_CHECK_BOUNDS(A, Load);
-  // The wait's poll reads real memory (Warp.cpp), so under weak memory it
-  // is a fresh observation of A: drain own same-address entries and bind
-  // the address at "now" (spin loops never starve on a stale binding).
-  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-    M->observeFresh(globalThreadId(), A);
-  Op O;
-  O.Kind = OpKind::MemWait;
-  O.Address = A;
-  O.Cycles = Mask;
-  O.Wait = MemWaitKind::BitClear;
-  yieldOp(O);
-}
-
-void ThreadCtx::memWaitNotEquals(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Load);
-  // The wait's poll reads real memory (Warp.cpp), so under weak memory it
-  // is a fresh observation of A: drain own same-address entries and bind
-  // the address at "now" (spin loops never starve on a stale binding).
-  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-    M->observeFresh(globalThreadId(), A);
-  Op O;
-  O.Kind = OpKind::MemWait;
-  O.Address = A;
-  O.Cycles = V;
-  O.Wait = MemWaitKind::NotEquals;
-  yieldOp(O);
-}
-
-void ThreadCtx::memWaitGreaterEq(Addr A, Word V) {
-  GPUSTM_CHECK_BOUNDS(A, Load);
-  // The wait's poll reads real memory (Warp.cpp), so under weak memory it
-  // is a fresh observation of A: drain own same-address entries and bind
-  // the address at "now" (spin loops never starve on a stale binding).
-  if (wmm::MemModel *M = Dev->ActiveWmm; GPUSTM_UNLIKELY(M != nullptr))
-    M->observeFresh(globalThreadId(), A);
-  Op O;
-  O.Kind = OpKind::MemWait;
-  O.Address = A;
-  O.Cycles = V;
-  O.Wait = MemWaitKind::GreaterEq;
-  yieldOp(O);
+  memWait(A, MemWaitKind::BitClear, Mask);
 }
 
 void ThreadCtx::syncThreads() {

@@ -118,10 +118,6 @@ public:
   void memWaitEquals(Addr A, Word V);
   /// Park until (*A & Mask) == 0.
   void memWaitBitClear(Addr A, Word Mask);
-  /// Park until *A != V.
-  void memWaitNotEquals(Addr A, Word V);
-  /// Park until *A >= V (unsigned compare; for monotonic counters).
-  void memWaitGreaterEq(Addr A, Word V);
 
   //===--------------------------------------------------------------------===//
   // Synchronization and SIMT control flow
@@ -192,6 +188,13 @@ private:
   /// until the warp scheduler steps the lane again.  Returns the op result
   /// (used by ballot).
   Word yieldOp(const Op &O);
+  /// The one body of the memWait* family: park until the word at \p A
+  /// meets (\p Kind, \p Operand).
+  void memWait(Addr A, MemWaitKind Kind, Word Operand);
+  /// The one body of the atomic* family: bounds check, weak-memory
+  /// preAtomic, \p Rmw's memory effect (it returns the old word), observer
+  /// report, wake-ups, postAtomic, counter, yield.
+  template <typename RmwFn> Word atomicRmw(Addr A, RmwFn Rmw);
 
   /// Cold path of the per-access event: build a SanAccess with full
   /// coordinates and deliver it (callers guard on Dev->observed()).

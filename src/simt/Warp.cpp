@@ -86,13 +86,6 @@ uint64_t Warp::contextMask() const {
   gpustm_unreachable("bad frame kind");
 }
 
-uint64_t Warp::activeMask() const { return contextMask(); }
-
-bool Warp::waitingAtBlockBarrier() const {
-  return stateMask(LaneState::Runnable) == 0 &&
-         stateMask(LaneState::AtBlockBarrier) != 0;
-}
-
 void Warp::releaseLanes(uint64_t Mask) {
   // Lanes already runnable need no transition; finished lanes never return.
   forEachLane(liveMask(Mask) & ~stateMask(LaneState::Runnable),

@@ -119,12 +119,6 @@ public:
   /// Host-cache prefetch hint for the first runnable lane's switch frame
   /// (issued by the scheduler when this warp becomes an SM's candidate).
   void prefetchFirstRunnable() const;
-  /// True when every lane has finished the kernel.
-  bool allFinished() const {
-    return StateMask[static_cast<unsigned>(LaneState::Finished)] == AllLanes;
-  }
-  /// True if no lane is runnable but live lanes wait at the block barrier.
-  bool waitingAtBlockBarrier() const;
 
   /// Release all lanes parked at the block barrier (called by Device when
   /// the whole block has arrived).
@@ -138,9 +132,6 @@ public:
   /// Cycle at which this warp may issue its next round (managed by the SM
   /// scheduler).
   uint64_t ReadyAt = 0;
-
-  /// Bitmask of lanes currently unmasked by the reconvergence stack.
-  uint64_t activeMask() const;
 
   BlockState &block() { return *Block; }
 
@@ -162,7 +153,7 @@ private:
   /// Set every live lane of \p Mask runnable.
   void releaseLanes(uint64_t Mask);
   /// Centralized lane state transition; maintains the per-state lane masks
-  /// backing hasRunnableLane()/allFinished() and every mask query below.
+  /// backing hasRunnableLane() and every mask query below.
   void setState(unsigned I, LaneState S);
 
   uint64_t laneBit(unsigned I) const { return uint64_t(1) << I; }

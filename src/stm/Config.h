@@ -144,19 +144,6 @@ struct StmConfig {
   /// Run the optional pre-lock VBV of Algorithm 3 line 71 (reduces lock
   /// contention for HV variants).
   bool PreLockValidation = true;
-  /// Transaction scheduler (the paper's Section 4.2 future work: "a
-  /// transaction scheduler that dynamically adjusts concurrency").  When
-  /// enabled, every transaction attempt claims one of SchedulerCap
-  /// admission slots; threads over the cap park until slots free.  With
-  /// SchedulerAdaptive, a hill-climbing controller resizes the cap every
-  /// SchedulerPeriod commits toward higher commit throughput
-  /// (commits per modeled cycle).
-  bool EnableScheduler = false;
-  bool SchedulerAdaptive = true;
-  /// Initial/static concurrency cap (0 = total threads of the launch).
-  unsigned SchedulerCap = 0;
-  /// Commits between controller adjustments.
-  unsigned SchedulerPeriod = 256;
 
   /// Ablation knob: keep lock-logs in encounter order even under the
   /// Sorted commit policy.  This reproduces the intra-warp circular-locking

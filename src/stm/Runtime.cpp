@@ -37,12 +37,8 @@ StmRuntime::StmRuntime(simt::Device &Dev, const StmConfig &Config,
   CglServingAddr = Dev.hostAlloc(1);
   TokenBase = Dev.hostAlloc(NumWarps);
   EscalationAddr = Dev.hostAlloc(1);
-  SchedTicketAddr = Dev.hostAlloc(1);
-  SchedDoneAddr = Dev.hostAlloc(1);
-  SchedCapAddr = Dev.hostAlloc(1);
-  SchedMaxCap = NumThreads;
-  Dev.memory().store(SchedCapAddr,
-                     Config.SchedulerCap ? Config.SchedulerCap : NumThreads);
+  // Unused words kept so log addresses and traced memory images never move.
+  Dev.memory().store(Dev.hostAlloc(3) + 2, NumThreads);
 
   // Per-warp coalesced log arenas (STM_NEW_WARP in Figure 1).
   unsigned LockSlots = Config.LockLogBuckets * Config.LockLogBucketCap;
@@ -161,70 +157,13 @@ void StmRuntime::cglTransaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
   Ctx.setPhase(Phase::Native);
 }
 
-void StmRuntime::schedulerAcquire(ThreadCtx &Ctx) {
-  // Ticketed admission: transaction with ticket t may start once at least
-  // t - cap + 1 transactions have finished, i.e. at most `cap` run at a
-  // time.  The done-counter is monotonic, so parked lanes use a
-  // greater-or-equal wait (one wake per waiter, no thundering herd).
-  Ctx.setPhase(simt::Phase::TxInit);
-  simt::MemClassScope San(Ctx, simt::MemClass::Meta);
-  Word Ticket = Ctx.atomicAdd(SchedTicketAddr, 1);
-  // Controller word, read host-side (no device op).
-  Word Cap = Dev.memory().load(SchedCapAddr);
-  if (Ticket >= Cap) {
-    Word Target = Ticket - Cap + 1;
-    for (;;) {
-      Word Done = Ctx.load(SchedDoneAddr);
-      if (Done >= Target)
-        break;
-      Ctx.memWaitGreaterEq(SchedDoneAddr, Target);
-    }
-  }
-  Ctx.setPhase(simt::Phase::Native);
-}
-
-void StmRuntime::schedulerRelease(ThreadCtx &Ctx) {
-  Ctx.setPhase(simt::Phase::TxInit);
-  simt::MemClassScope San(Ctx, simt::MemClass::Meta);
-  Ctx.atomicAdd(SchedDoneAddr, 1);
-  Ctx.setPhase(simt::Phase::Native);
-}
-
-void StmRuntime::schedulerAdjust() {
-  if (SchedWindowCommits < Config.SchedulerPeriod)
-    return;
-  uint64_t Now = Dev.now();
-  uint64_t Elapsed = Now > SchedWindowStart ? Now - SchedWindowStart : 1;
-  double Throughput =
-      static_cast<double>(SchedWindowCommits) / static_cast<double>(Elapsed);
-  SchedWindowCommits = 0;
-  SchedWindowStart = Now;
-
-  // Hill-climb: keep moving the cap in the current direction while commit
-  // throughput improves; reverse when it degrades.
-  if (SchedPrevThroughput >= 0.0 && Throughput < SchedPrevThroughput)
-    SchedGrowing = !SchedGrowing;
-  SchedPrevThroughput = Throughput;
-  Word Cap = Dev.memory().load(SchedCapAddr);
-  if (SchedGrowing)
-    Cap = Cap * 2 <= SchedMaxCap ? Cap * 2 : static_cast<Word>(SchedMaxCap);
-  else
-    Cap = Cap > 16 ? Cap / 2 : 8;
-  Dev.memory().store(SchedCapAddr, Cap);
-}
-
 void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
   if (Config.Kind == Variant::CGL) {
     cglTransaction(Ctx, Body);
     return;
   }
-  bool Scheduled = Config.EnableScheduler;
   TxDesc &D = descFor(Ctx);
   for (;;) {
-    // Each attempt re-queues for admission, so an aborting transaction
-    // yields its slot and conflicting work drains at the throttled rate.
-    if (Scheduled)
-      schedulerAcquire(Ctx);
     Ctx.txMarkBegin();
     Tx T(*this, Ctx, D, Tx::ModeT::Instrumented);
     T.begin();
@@ -234,29 +173,19 @@ void StmRuntime::transaction(ThreadCtx &Ctx, function_ref<void(Tx &)> Body) {
     Body(T);
     bool Committed = T.valid() && T.commit();
     Ctx.txMarkEnd(Committed);
-    // The scheduler's hill-climber keeps its window only when it is on.
     if (Committed) {
       ++Counters.Commits;
-      if (Scheduled && Config.SchedulerAdaptive)
-        ++SchedWindowCommits;
       if (GPUSTM_UNLIKELY(tracing()))
         emitEvent(Ctx, TxEventKind::Commit, AbortCause::None, simt::InvalidAddr,
                   D.WriteCount, D.WriteCount ? D.LastCommitVersion : 0);
-    } else {
-      ++Counters.Aborts;
-      if (GPUSTM_UNLIKELY(tracing()))
-        emitEvent(Ctx, TxEventKind::Abort,
-                  D.LastAbort == AbortCause::None ? AbortCause::Explicit
-                                                  : D.LastAbort,
-                  simt::InvalidAddr, 0, 0);
-    }
-    if (Scheduled) {
-      schedulerRelease(Ctx);
-      if (Config.SchedulerAdaptive)
-        schedulerAdjust();
-    }
-    if (Committed)
       break;
+    }
+    ++Counters.Aborts;
+    if (GPUSTM_UNLIKELY(tracing()))
+      emitEvent(Ctx, TxEventKind::Abort,
+                D.LastAbort == AbortCause::None ? AbortCause::Explicit
+                                                : D.LastAbort,
+                simt::InvalidAddr, 0, 0);
   }
 }
 

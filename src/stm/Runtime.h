@@ -120,10 +120,6 @@ public:
     return Descs[GlobalThreadId].LastCommitVersion;
   }
 
-  /// Current concurrency cap of the transaction scheduler (meaningful only
-  /// with EnableScheduler).
-  Word schedulerCap() const { return Dev.memory().load(SchedCapAddr); }
-
   /// True while the device has an observer attached (the emit points'
   /// cold-path guard).  Transaction events go to the device's observers
   /// (simt::Observer::onTxEvent); emission is host-side only, so modeled
@@ -143,13 +139,6 @@ private:
   void emitEvent(const simt::ThreadCtx &Ctx, TxEventKind K, AbortCause C,
                  simt::Addr A, Word V, Word Aux);
 
-  /// Transaction scheduler (Section 4.2 future work): slot claim/release
-  /// around a transaction, plus the host-side feedback controller that
-  /// retunes the cap from the recent commit throughput.
-  void schedulerAcquire(simt::ThreadCtx &Ctx);
-  void schedulerRelease(simt::ThreadCtx &Ctx);
-  void schedulerAdjust();
-
   simt::Device &Dev;
   StmConfig Config;
   Validation Val;
@@ -163,9 +152,6 @@ private:
   simt::Addr SeqLockAddr = simt::InvalidAddr; ///< NOrec sequence lock (VBV).
   simt::Addr CglTicketAddr = simt::InvalidAddr;  ///< CGL ticket counter.
   simt::Addr CglServingAddr = simt::InvalidAddr; ///< CGL now-serving word.
-  simt::Addr SchedTicketAddr = simt::InvalidAddr; ///< Admission tickets.
-  simt::Addr SchedDoneAddr = simt::InvalidAddr;   ///< Finished transactions.
-  simt::Addr SchedCapAddr = simt::InvalidAddr;    ///< Concurrency cap.
   simt::Addr TokenBase = simt::InvalidAddr;   ///< Per-warp backoff tokens.
   /// Global backoff-escalation token: lanes that keep losing the stripe-lock
   /// race serialize through it, which bounds cross-warp livelock.
@@ -173,14 +159,6 @@ private:
 
   std::vector<TxDesc> Descs;
   StmCounters Counters;
-
-  // Scheduler controller state (host side): hill-climbs the cap toward
-  // higher commit throughput.
-  unsigned SchedMaxCap = 0;
-  uint64_t SchedWindowCommits = 0;
-  uint64_t SchedWindowStart = 0;
-  double SchedPrevThroughput = -1.0;
-  bool SchedGrowing = false;
 };
 
 } // namespace stm

@@ -41,14 +41,6 @@ const char *parseUnsignedInRange(const char *Text, uint64_t Min, uint64_t Max,
   return nullptr;
 }
 
-uint64_t envUnsigned(const char *Name, uint64_t Default) {
-  const char *Value = std::getenv(Name);
-  uint64_t Parsed = 0;
-  if (!Value || parseUnsignedInRange(Value, 0, UINT64_MAX, Parsed))
-    return Default;
-  return Parsed;
-}
-
 uint64_t envUnsignedInRange(const char *Name, uint64_t Default, uint64_t Min,
                             uint64_t Max) {
   const char *Value = std::getenv(Name);

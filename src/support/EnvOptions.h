@@ -29,15 +29,11 @@ namespace gpustm {
 const char *parseUnsignedInRange(const char *Text, uint64_t Min, uint64_t Max,
                                  uint64_t &Out);
 
-/// Read an unsigned integer from the environment, or \p Default when the
-/// variable is unset or parseUnsignedInRange rejects it.
-uint64_t envUnsigned(const char *Name, uint64_t Default);
-
-/// Like envUnsigned, but values that feed array sizing must not silently
-/// degrade: a set value that parseUnsignedInRange rejects for
-/// [\p Min, \p Max] is a fatal error naming the variable, the offending
-/// value, why, and the accepted range.  Unset/empty still returns
-/// \p Default.
+/// Read an unsigned integer in [\p Min, \p Max] from the environment, or
+/// \p Default when the variable is unset or empty.  A bad value never
+/// silently degrades: a set value that parseUnsignedInRange rejects is a
+/// fatal error naming the variable, the offending value, why, and the
+/// accepted range.
 uint64_t envUnsignedInRange(const char *Name, uint64_t Default, uint64_t Min,
                             uint64_t Max);
 

@@ -13,14 +13,8 @@
 using namespace gpustm;
 
 unsigned gpustm::hostJobs() {
-  static const unsigned Jobs = [] {
-    uint64_t V = envUnsigned("GPUSTM_JOBS", 1);
-    if (V < 1)
-      V = 1;
-    if (V > 256)
-      V = 256;
-    return static_cast<unsigned>(V);
-  }();
+  static const unsigned Jobs =
+      static_cast<unsigned>(envUnsignedInRange("GPUSTM_JOBS", 1, 1, 256));
   return Jobs;
 }
 

@@ -24,7 +24,7 @@
 
 namespace gpustm {
 
-/// Host worker count from GPUSTM_JOBS, clamped to [1, 256].  0 (or unset)
+/// Host worker count from GPUSTM_JOBS (range 1..256, read strictly).  Unset
 /// means 1: serial execution on the calling thread.
 unsigned hostJobs();
 

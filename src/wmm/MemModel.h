@@ -130,7 +130,7 @@ struct Deviation {
   uint64_t NowSeq = 0;
 };
 
-/// Counters folded into LaunchStats as "wmm.*".
+/// Counters folded into LaunchResult::Stats as "wmm.*".
 struct WmmStats {
   uint64_t StaleLoads = 0;
   uint64_t DelayedStores = 0;

@@ -86,11 +86,6 @@ StmConfig gpustm::workloads::resolveStmConfig(const Workload &W,
   SC.SharedDataWords = W.sharedDataWords();
   SC.CoalescedLogs = Config.CoalescedLogs;
   SC.DisableSorting = Config.DisableSorting;
-  if (Config.SchedulerCap != 0) {
-    SC.EnableScheduler = true;
-    SC.SchedulerAdaptive = Config.SchedulerCap == ~0u;
-    SC.SchedulerCap = SC.SchedulerAdaptive ? 0 : Config.SchedulerCap;
-  }
   SC.DebugName = W.name();
   W.tuneStm(SC);
   return SC;
@@ -186,7 +181,8 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
   std::string SanReportPath;
   if (!San && envBool("GPUSTM_SAN", false)) {
     analysis::SimtsanOptions SanOpts;
-    SanOpts.MaxReports = envUnsigned("GPUSTM_SAN_MAX_REPORTS", 100);
+    SanOpts.MaxReports =
+        envUnsignedInRange("GPUSTM_SAN_MAX_REPORTS", 100, 0, ~0ull);
     OwnedSan = std::make_unique<analysis::Simtsan>(SanOpts);
     San = OwnedSan.get();
     SanReportPath = withRunSuffix(

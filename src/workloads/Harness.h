@@ -51,9 +51,6 @@ struct HarnessConfig {
   /// Verify the result image with the workload oracle (on by default; the
   /// livelock ablation turns it off).
   bool Verify = true;
-  /// Transaction scheduler (Section 4.2 future work): 0 = disabled,
-  /// ~0u = adaptive, otherwise a static concurrency cap.
-  unsigned SchedulerCap = 0;
   /// Caller-owned trace recorder: when set, the harness drives its
   /// beginRun/noteKernelLaunch/finishRun lifecycle around the run.
   trace::TxTraceRecorder *Recorder = nullptr;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 using namespace gpustm;
 using namespace gpustm::simt;
 
@@ -322,6 +324,15 @@ TEST(DeviceTest, AbortedTxCyclesGoToAbortedBucket) {
   ASSERT_TRUE(R.Completed);
   EXPECT_GT(R.Stats.get("cycles.aborted"), 0u);
   EXPECT_GT(R.Stats.get("cycles.buffering"), 0u);
+}
+
+TEST(DeviceTest, SchedFuzzEnvRejectsGarbage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A bad GPUSTM_SCHED_FUZZ is fatal, never the default schedule.
+  ::setenv("GPUSTM_SCHED_FUZZ", "abc", 1);
+  EXPECT_DEATH({ Device Dev(smallConfig()); },
+               "GPUSTM_SCHED_FUZZ='abc' is not a number");
+  ::unsetenv("GPUSTM_SCHED_FUZZ");
 }
 
 } // namespace

@@ -131,28 +131,30 @@ TEST(StatsTest, AddGetMergeEntries) {
   EXPECT_EQ(E[0].first, "x"); // Name-sorted.
 }
 
+/// Set GPUSTM_TEST_OPT to \p V and read it over the full 64-bit range.
+uint64_t readTestOpt(const char *V) {
+  ::setenv("GPUSTM_TEST_OPT", V, 1);
+  return envUnsignedInRange("GPUSTM_TEST_OPT", 7, 0, ~0ull);
+}
+
 TEST(EnvOptionsTest, ParsesAndDefaults) {
-  ::setenv("GPUSTM_TEST_OPT", "123", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 123u);
-  ::setenv("GPUSTM_TEST_OPT", "garbage", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 7u);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(readTestOpt("123"), 123u);
+  EXPECT_EQ(readTestOpt("0x10"), 16u);
+  // A set-but-bad value is fatal, never the default.
+  EXPECT_DEATH(readTestOpt("garbage"), "GPUSTM_TEST_OPT='garbage' is not");
   ::unsetenv("GPUSTM_TEST_OPT");
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 7u);
-  ::setenv("GPUSTM_TEST_OPT", "0x10", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 16u);
-  ::unsetenv("GPUSTM_TEST_OPT");
+  EXPECT_EQ(envUnsignedInRange("GPUSTM_TEST_OPT", 7, 0, ~0ull), 7u);
   EXPECT_EQ(envString("GPUSTM_TEST_OPT", "dflt"), "dflt");
 }
 
 TEST(EnvOptionsTest, RejectsTrailingGarbage) {
-  // "8x" must fall back to the default, not silently parse as 8.
-  ::setenv("GPUSTM_TEST_OPT", "8x", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 7u);
-  ::setenv("GPUSTM_TEST_OPT", "8 9", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 7u);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // "8x" is fatal: it is neither read as 8 nor as the default.
+  EXPECT_DEATH(readTestOpt("8x"), "'8x' has trailing garbage");
+  EXPECT_DEATH(readTestOpt("8 9"), "'8 9' has trailing garbage");
   // Trailing whitespace alone is tolerated.
-  ::setenv("GPUSTM_TEST_OPT", "8 ", 1);
-  EXPECT_EQ(envUnsigned("GPUSTM_TEST_OPT", 7), 8u);
+  EXPECT_EQ(readTestOpt("8 "), 8u);
   ::unsetenv("GPUSTM_TEST_OPT");
 }
 
@@ -355,6 +357,17 @@ TEST(ParallelTest, HostJobsClampedAndCached) {
   EXPECT_GE(J, 1u);
   EXPECT_LE(J, 256u);
   EXPECT_EQ(hostJobs(), J);
+}
+
+TEST(ParallelTest, HostJobsRejectsGarbage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A bad GPUSTM_JOBS is fatal, never a silent serial run.  The death-test
+  // child is a fresh process, so hostJobs() reads the variable there.
+  ::setenv("GPUSTM_JOBS", "two", 1);
+  EXPECT_DEATH(hostJobs(),
+               "GPUSTM_JOBS='two' is not a number; accepted range is "
+               "1\\.\\.256");
+  ::unsetenv("GPUSTM_JOBS");
 }
 
 } // namespace
